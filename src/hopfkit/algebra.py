@@ -36,22 +36,28 @@ class AlgebraPresentation:
 
     def product(self, u, v):
         f = self.field
-        out = [f.zero] * self.dim
-        for i, a in enumerate(u):
-            if f.is_zero(a):
-                continue
-            for j, b in enumerate(v):
-                if f.is_zero(b):
-                    continue
-                ab = f.mul(a, b)
-                for k, c in self.basis_product(i, j):
-                    out[k] = f.add(out[k], f.mul(ab, c))
-        return out
+        return dense_vector(f, self.dim, self.product_terms(nonzero_terms(f, u), nonzero_terms(f, v)))
 
-    def product_many(self, vectors):
-        acc = list(self.unit)
-        for v in vectors:
-            acc = self.product(acc, v)
+    def product_terms(self, us, vs, acc=None):
+        """(sum a e_i)(sum b e_j) for sparse operands us = [(i, a)] and
+        vs = [(j, b)], added into the dict acc (k -> value, zero entries
+        possible after cancellation) and returned.
+
+        This is the one structure-constant contraction: the pair index is
+        read once per call and basis pairs with an empty product are
+        skipped, so a call costs O(nnz) per operand pair, not O(dim^2)."""
+        f = self.field
+        mul, add, zero = f.mul, f.add, f.zero
+        pairs = self.mul.pair_index()
+        acc = {} if acc is None else acc
+        get = acc.get
+        for i, a in us:
+            for j, b in vs:
+                terms = pairs.get((i, j))
+                if terms:
+                    ab = mul(a, b)
+                    for k, c in terms:
+                        acc[k] = add(get(k, zero), mul(ab, c))
         return acc
 
     def left_mult_matrix(self, v):
@@ -74,36 +80,72 @@ class AlgebraPresentation:
         return f"Algebra(dim {self.dim} over {self.field!r})"
 
 
+def nonzero_terms(field, vec):
+    """Sparse operand [(i, a)] of a dense vector or of a dict i -> a."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    return [(i, a) for i, a in items if not field.is_zero(a)]
+
+
+def dense_vector(field, dim, vec: dict):
+    """Dense form of a dict vector i -> a."""
+    out = [field.zero] * dim
+    for i, a in vec.items():
+        out[i] = a
+    return out
+
+
+def same_vector(field, u: dict, v: dict) -> bool:
+    """Equality of two dict vectors i -> a, zero entries ignored."""
+    return u == v or dict(nonzero_terms(field, u)) == dict(nonzero_terms(field, v))
+
+
 def verify_algebra(A: AlgebraPresentation) -> Report:
     """Associativity and two-sided unit law, with the first violating
-    basis triple as witness."""
+    basis triple as witness; basis products come straight from the pair
+    index."""
     rep = Report()
     f = A.field
     d = A.dim
+    one = f.one
+    unit = nonzero_terms(f, A.unit)
     ok = True
     witness = None
     for i in range(d):
-        e_i = unit_vector(f, d, i)
-        got = A.product(A.unit, e_i)
-        if got != e_i:
+        e_i = {i: one}
+        if not same_vector(f, A.product_terms(unit, [(i, one)]), e_i):
             ok, witness = False, {"side": "left", "basis": A.names[i]}
             break
-        got = A.product(e_i, A.unit)
-        if got != e_i:
+        if not same_vector(f, A.product_terms([(i, one)], unit), e_i):
             ok, witness = False, {"side": "right", "basis": A.names[i]}
             break
     rep.add("unit law", ok, witness)
 
+    # (e_i e_j) e_k and e_i (e_j e_k) both vanish unless e_m e_k != 0 for
+    # some e_m in e_i e_j, or e_j e_k != 0; every other k passes, so the
+    # scan visits only these candidates, in increasing order
     ok = True
     witness = None
-    basis = [unit_vector(f, d, i) for i in range(d)]
+    mul, add, zero = f.mul, f.add, f.zero
+    pairs = A.mul.pair_index()
+    right_of = {}
+    for (m, k) in pairs:
+        right_of.setdefault(m, []).append(k)
     for i in range(d):
         for j in range(d):
-            ij = A.product(basis[i], basis[j])
-            for k in range(d):
-                lhs = A.product(ij, basis[k])
-                rhs = A.product(basis[i], A.product(basis[j], basis[k]))
-                if lhs != rhs:
+            ij = pairs.get((i, j), ())
+            ks = set(right_of.get(j, ()))
+            for m, _c in ij:
+                ks.update(right_of.get(m, ()))
+            for k in sorted(ks):
+                lhs = {}
+                for m, c in ij:
+                    for n, c2 in pairs.get((m, k), ()):
+                        lhs[n] = add(lhs.get(n, zero), mul(c, c2))
+                rhs = {}
+                for m, c in pairs.get((j, k), ()):
+                    for n, c2 in pairs.get((i, m), ()):
+                        rhs[n] = add(rhs.get(n, zero), mul(c2, c))
+                if not same_vector(f, lhs, rhs):
                     ok = False
                     witness = {"triple": (i, j, k)}
                     break
@@ -206,11 +248,7 @@ def quotient_algebra(A: AlgebraPresentation, ideal: Subspace):
 
 
 def _basis_product_vec(A, i, j):
-    f = A.field
-    out = [f.zero] * A.dim
-    for k, c in A.basis_product(i, j):
-        out[k] = c
-    return out
+    return dense_vector(A.field, A.dim, dict(A.basis_product(i, j)))
 
 
 def abelianization(A: AlgebraPresentation):

@@ -48,9 +48,3 @@ class Report:
 
     def as_dict(self):
         return {"ok": self.ok, "checks": [c.as_dict() for c in self.checks]}
-
-    def require(self, message: str = "verification failed"):
-        if not self.ok:
-            bad = self.first_failure()
-            raise AssertionError(f"{message}: {bad.name} (witness={bad.witness!r})")
-        return self

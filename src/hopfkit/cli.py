@@ -374,7 +374,8 @@ _RUNNERS = {
 
 def execute(job: JobSpec):
     """Run the job's tasks in order; dependent tasks are skipped after a
-    verification failure.  Returns (report dict, exit code)."""
+    verification failure.  Returns (report dict, exit code, timings), the
+    timings a list of (task name, seconds)."""
     ctx = resolve_object(job.field, job.object_spec)
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -47,18 +47,6 @@ def _poly_trim(c):
     return c
 
 
-def _poly_mul(a, b):
-    if not a or not b:
-        return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
 def _poly_divmod(a, b):
     a = list(a)
     if not b:

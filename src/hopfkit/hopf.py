@@ -19,8 +19,11 @@ from .algebra import (
     AlgebraPresentation,
     characters,
     center,
+    dense_vector,
     left_ideal,
+    nonzero_terms,
     quotient_algebra,
+    same_vector,
     verify_algebra,
 )
 from .checks import Report
@@ -66,17 +69,35 @@ def tt_outer(H, u, v) -> dict:
     return out
 
 
+def _by_first_leg(B: dict) -> dict:
+    """Group a sparse tensor by its first index: k -> [(rest, value)]."""
+    out = {}
+    for key, b in B.items():
+        out.setdefault(key[0], []).append((key[1:], b))
+    return out
+
+
 def tt_mul(H, A: dict, B: dict) -> dict:
+    """Product in H (x) H; B is grouped by its first leg so that a pair
+    with an empty first-leg product is skipped with one lookup."""
     f = H.field
-    bp = H.algebra.basis_product
+    pairs = H.mul.pair_index()
+    grouped = _by_first_leg(B)
     out = {}
     for (i, j), a in A.items():
-        for (k, l), b in B.items():
-            ab = f.mul(a, b)
-            for m, cm in bp(i, k):
-                left = f.mul(ab, cm)
-                for n, cn in bp(j, l):
-                    _put(f, out, (m, n), f.mul(left, cn))
+        for k, rest in grouped.items():
+            left = pairs.get((i, k))
+            if not left:
+                continue
+            for (l,), b in rest:
+                right = pairs.get((j, l))
+                if not right:
+                    continue
+                ab = f.mul(a, b)
+                for m, cm in left:
+                    lv = f.mul(ab, cm)
+                    for n, cn in right:
+                        _put(f, out, (m, n), f.mul(lv, cn))
     return out
 
 
@@ -103,17 +124,26 @@ def tt_apply(field, A: dict, M1, M2) -> dict:
 
 def t3_mul(H, A: dict, B: dict) -> dict:
     f = H.field
-    bp = H.algebra.basis_product
+    pairs = H.mul.pair_index()
+    grouped = _by_first_leg(B)
     out = {}
     for (i, j, k), a in A.items():
-        for (l, m, n), b in B.items():
-            ab = f.mul(a, b)
-            for p, cp in bp(i, l):
-                vp = f.mul(ab, cp)
-                for q, cq in bp(j, m):
-                    vq = f.mul(vp, cq)
-                    for r, cr in bp(k, n):
-                        _put(f, out, (p, q, r), f.mul(vq, cr))
+        for l, rest in grouped.items():
+            first = pairs.get((i, l))
+            if not first:
+                continue
+            for (m, n), b in rest:
+                second = pairs.get((j, m))
+                third = pairs.get((k, n))
+                if not (second and third):
+                    continue
+                ab = f.mul(a, b)
+                for p, cp in first:
+                    vp = f.mul(ab, cp)
+                    for q, cq in second:
+                        vq = f.mul(vp, cq)
+                        for r, cr in third:
+                            _put(f, out, (p, q, r), f.mul(vq, cr))
     return out
 
 
@@ -256,24 +286,32 @@ def solve_antipode(H: HopfAlgebra):
 
 
 def _antipode_ok(H, S):
-    f = H.field
-    d = H.dim
-    for i in range(d):
-        left = [f.zero] * d
-        right = [f.zero] * d
-        for (j, k, c) in H.basis_comul(i):
-            sj = S.column(j)
-            prod = H.algebra.product(sj, unit_vector(f, d, k))
-            for t in range(d):
-                left[t] = f.add(left[t], f.mul(c, prod[t]))
-            sk = S.column(k)
-            prod = H.algebra.product(unit_vector(f, d, j), sk)
-            for t in range(d):
-                right[t] = f.add(right[t], f.mul(c, prod[t]))
-        target = [f.mul(H.counit[i], u) for u in H.unit]
-        if left != target or right != target:
-            return False
-    return True
+    return antipode_failure(H.algebra, H.basis_comul, H.counit, S) is None
+
+
+def antipode_failure(algebra, basis_comul, counit, S):
+    """First basis index i with S(x_(1)) x_(2) or x_(1) S(x_(2)) unequal
+    to eps(x) 1 at x = e_i, or None; basis_comul(i) lists the (j, k, c)
+    of Delta(e_i)."""
+    f = algebra.field
+    product_terms = algebra.product_terms
+    columns = sparse_columns(S)
+    for i in range(algebra.dim):
+        left = {}
+        right = {}
+        for (j, k, c) in basis_comul(i):
+            product_terms(columns[j], [(k, c)], left)
+            product_terms([(j, c)], columns[k], right)
+        target = dict(nonzero_terms(f, [f.mul(counit[i], u) for u in algebra.unit]))
+        if not (same_vector(f, left, target) and same_vector(f, right, target)):
+            return i
+    return None
+
+
+def sparse_columns(M: Matrix):
+    """The columns of M as sparse operands [(row, value)]."""
+    f = M.field
+    return [nonzero_terms(f, M.column(j)) for j in range(M.ncols)]
 
 
 def verify_hopf(H: HopfAlgebra) -> Report:
@@ -313,13 +351,14 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     ok = H.comul_of(H.unit) == tt_unit(H)
     rep.add("comultiplication of the unit", ok)
     ok, wit = True, None
+    deltas = [dict(_basis_tt(H, i)) for i in range(d)]
     for i in range(d):
         for j in range(d):
             lhs = {}
             for (k, c) in H.algebra.basis_product(i, j):
                 for (p, q, c2) in H.basis_comul(k):
                     _put(f, lhs, (p, q), f.mul(c, c2))
-            rhs = tt_mul(H, dict(_basis_tt(H, i)), dict(_basis_tt(H, j)))
+            rhs = tt_mul(H, deltas[i], deltas[j])
             if lhs != rhs:
                 ok, wit = False, {"pair": (H.names[i], H.names[j])}
                 break
@@ -410,16 +449,15 @@ def verify_morphism(fmor: HopfMorphism) -> Report:
     rep.add("sends unit to unit", M.apply(A.unit) == B.unit)
 
     ok, wit = True, None
-    images = [M.column(i) for i in range(A.dim)]
+    images = sparse_columns(M)
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = [f.zero] * B.dim
+            lhs = {}
             for (k, c) in A.algebra.basis_product(i, j):
-                img = images[k]
-                for t in range(B.dim):
-                    lhs[t] = f.add(lhs[t], f.mul(c, img[t]))
-            rhs = B.algebra.product(images[i], images[j])
-            if lhs != rhs:
+                for t, x in images[k]:
+                    lhs[t] = f.add(lhs.get(t, f.zero), f.mul(c, x))
+            rhs = B.algebra.product_terms(images[i], images[j])
+            if not same_vector(f, lhs, rhs):
                 ok, wit = False, {"pair": (A.names[i], A.names[j])}
                 break
         if not ok:
@@ -429,7 +467,7 @@ def verify_morphism(fmor: HopfMorphism) -> Report:
     ok, wit = True, None
     for i in range(A.dim):
         lhs = tt_apply(f, dict(_basis_tt(A, i)), M, M)
-        rhs = B.comul_of(images[i])
+        rhs = B.comul_of(M.column(i))
         if lhs != rhs:
             ok, wit = False, {"basis": A.names[i]}
             break
@@ -437,7 +475,7 @@ def verify_morphism(fmor: HopfMorphism) -> Report:
 
     ok, wit = True, None
     for i in range(A.dim):
-        if B.counit_of(images[i]) != A.counit[i]:
+        if B.counit_of(M.column(i)) != A.counit[i]:
             ok, wit = False, {"basis": A.names[i]}
             break
     rep.add("preserves counit", ok, wit)
@@ -667,17 +705,23 @@ def is_normal_left_coideal_subalgebra(H: HopfAlgebra, L: Subspace) -> Report:
     if H.antipode is None:
         ok, wit = False, "no antipode available"
     else:
+        # e_p (v S(e_q)) summed over Delta(e_i); v S(e_q) is formed once
+        # per (v, q) and reused for every e_i
+        product_terms = H.algebra.product_terms
+        antipode = sparse_columns(H.antipode)
+        operands = [nonzero_terms(f, v) for v in vecs]
+        mids = {}
         for i in range(H.dim):
             terms = H.basis_comul(i)
-            for v in vecs:
-                out = [f.zero] * H.dim
+            for n, v in enumerate(vecs):
+                out = {}
                 for (p, q, c) in terms:
-                    sq = H.antipode.column(q)
-                    mid = H.algebra.product(v, sq)
-                    full = H.algebra.product(unit_vector(f, H.dim, p), mid)
-                    for t in range(H.dim):
-                        out[t] = f.add(out[t], f.mul(c, full[t]))
-                if not L.contains(out):
+                    mid = mids.get((n, q))
+                    if mid is None:
+                        mid = mids[(n, q)] = nonzero_terms(
+                            f, product_terms(operands[n], antipode[q]))
+                    product_terms([(p, c)], mid, out)
+                if not L.contains(dense_vector(f, H.dim, out)):
                     ok, wit = False, {"basis": H.names[i], "vector": v}
                     break
             if not ok:

@@ -72,9 +72,6 @@ class Matrix:
     def shape(self):
         return (self.nrows, self.ncols)
 
-    def copy(self):
-        return Matrix(self.field, self.rows)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -306,9 +303,6 @@ class Subspace:
 
     def contains(self, vec) -> bool:
         return vec_is_zero(self.field, self.reduce(vec))
-
-    def contains_subspace(self, other) -> bool:
-        return all(self.contains(v) for v in other.vectors())
 
     def __eq__(self, other):
         return (

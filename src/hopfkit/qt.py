@@ -13,15 +13,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import AlgebraPresentation
+from .algebra import AlgebraPresentation, dense_vector, same_vector, verify_algebra
 from .checks import Report
 from .errors import PreconditionError, UsageError
 from .hopf import (
     HopfAlgebra,
     HopfMorphism,
     _put,
+    antipode_failure,
     comul_leg,
     solve_antipode,
+    sparse_columns,
     t3_embed,
     t3_mul,
     tt_apply,
@@ -144,20 +146,12 @@ class TensorSquareElement:
                 return cand
         f = self.host.field
         d = self.host.dim
-        bp = self.host.algebra.basis_product
-        cols = {}
-        for (i, j), v in self.coeffs.items():
-            for k in range(d):
-                for (m, cm) in bp(i, k):
-                    vm = f.mul(v, cm)
-                    for l in range(d):
-                        for (n, cn) in bp(j, l):
-                            key = (m * d + n, k * d + l)
-                            cur = cols.get(key, f.zero)
-                            cols[key] = f.add(cur, f.mul(vm, cn))
+        # column (k, l) of the left-regular matrix is self * (e_k (x) e_l)
         L = Matrix.zeros(f, d * d, d * d)
-        for (r, c), v in cols.items():
-            L.rows[r][c] = v
+        for k in range(d):
+            for l in range(d):
+                for (m, n), v in tt_mul(self.host, self.coeffs, {(k, l): f.one}).items():
+                    L.rows[m * d + n][k * d + l] = v
         rhs = [f.zero] * (d * d)
         for (i, j), v in one.items():
             rhs[i * d + j] = v
@@ -240,12 +234,11 @@ def verify_rmatrix(H: HopfAlgebra, R: TensorSquareElement) -> QTStructure:
     verified = rep.ok
     q = QTStructure(H, R, rep, verified, R_inv=rinv)
     if verified:
+        # the ranks of phi_maps(q).phi and lr_maps(q).l, without the images
         mono = monodromy(q)
         q.triangular = mono.is_unit_element()
-        phi = phi_maps(q)
-        q.factorizable = phi.phi.rank() == H.dim
-        lr = lr_maps(q, run_self_test=False)
-        q.full_rank = lr.full_rank
+        q.factorizable = mono.to_matrix().rank() == H.dim
+        q.full_rank = R.to_matrix().rank() == H.dim
     return q
 
 
@@ -327,27 +320,20 @@ def lr_maps(Q: QTStructure, pi: HopfMorphism = None, run_self_test: bool = True)
         ok, wit = True, None
         d = H.dim
         mul_out = H.mul.third_index()
+        product_terms = H.algebra.product_terms
+        columns = sparse_columns(l)
         for a in range(d):
             dual_comul = mul_out.get(a, [])  # (p, q, c): Delta*(e^a) = sum c e^p (x) e^q
             for i in range(d):
-                lhs = [f.zero] * d
-                rhs = [f.zero] * d
+                lhs = {}
+                rhs = {}
                 for (p, q, c) in dual_comul:
-                    hpull = [f.zero] * d
-                    for (j, k, cc) in H.basis_comul(i):
-                        if k == p:
-                            hpull[j] = f.add(hpull[j], cc)
-                    term = H.algebra.product(hpull, l.column(q))
-                    for t in range(d):
-                        lhs[t] = f.add(lhs[t], f.mul(c, term[t]))
-                    hpush = [f.zero] * d
-                    for (j, k, cc) in H.basis_comul(i):
-                        if j == q:
-                            hpush[k] = f.add(hpush[k], cc)
-                    term = H.algebra.product(l.column(p), hpush)
-                    for t in range(d):
-                        rhs[t] = f.add(rhs[t], f.mul(c, term[t]))
-                if lhs != rhs:
+                    # c e_j for e_j (x) e_p in Delta(e_i), and c e_k for e_q (x) e_k
+                    hpull = [(j, f.mul(c, cc)) for (j, k, cc) in H.basis_comul(i) if k == p]
+                    product_terms(hpull, columns[q], lhs)
+                    hpush = [(k, f.mul(c, cc)) for (j, k, cc) in H.basis_comul(i) if j == q]
+                    product_terms(columns[p], hpush, rhs)
+                if not same_vector(f, lhs, rhs):
                     ok, wit = False, {"dual_basis": a, "basis": H.names[i]}
                     break
             if not ok:
@@ -411,12 +397,11 @@ def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
             comul.set(i, j, k, v)
     antipode = None
     if H.antipode is not None:
-        u = [f.zero] * d
+        s_columns = sparse_columns(H.antipode)
+        u = {}
         for (i, j), v in J.coeffs.items():
-            sj = H.antipode.column(j)
-            prod = H.algebra.product(unit_vector(f, d, i), sj)
-            for t in range(d):
-                u[t] = f.add(u[t], f.mul(v, prod[t]))
+            H.algebra.product_terms([(i, v)], s_columns[j], u)
+        u = dense_vector(f, d, u)
         Lu = H.algebra.left_mult_matrix(u)
         uinv = Lu.solve(H.unit)
         if uinv is not None:
@@ -812,23 +797,9 @@ def _verify_braided(data: BraidedHopfData) -> Report:
             break
     rep.add("braided coproduct is multiplicative for the braiding", ok, wit)
 
-    ok, wit = True, None
-    S = data.braided_antipode
-    for i in range(d):
-        left = [f.zero] * d
-        right = [f.zero] * d
-        for (j, k, c) in idx.get(i, []):
-            prod = H.algebra.product(S.column(j), unit_vector(f, d, k))
-            for t in range(d):
-                left[t] = f.add(left[t], f.mul(c, prod[t]))
-            prod = H.algebra.product(unit_vector(f, d, j), S.column(k))
-            for t in range(d):
-                right[t] = f.add(right[t], f.mul(c, prod[t]))
-        target = [f.mul(H.counit[i], u) for u in H.unit]
-        if left != target or right != target:
-            ok, wit = False, {"basis": H.names[i]}
-            break
-    rep.add("braided antipode is the braided convolution inverse", ok, wit)
+    bad = antipode_failure(H.algebra, lambda i: idx.get(i, []), H.counit, data.braided_antipode)
+    rep.add("braided antipode is the braided convolution inverse", bad is None,
+            None if bad is None else {"basis": H.names[bad]})
     return rep
 
 
@@ -1051,48 +1022,11 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
 
     rep = Report()
     dual_alg = AlgebraPresentation(f, d, product, list(H.counit))
-    ok, wit = True, None
-    basis = [unit_vector(f, d, i) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            ij = dual_alg.product(basis[i], basis[j])
-            for k in range(d):
-                lhs = dual_alg.product(ij, basis[k])
-                rhs = dual_alg.product(basis[i], dual_alg.product(basis[j], basis[k]))
-                if lhs != rhs:
-                    ok, wit = False, {"triple": (i, j, k)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("braided dual product associative", ok, wit)
-    ok = True
-    for i in range(d):
-        if dual_alg.product(list(H.counit), basis[i]) != basis[i]:
-            ok = False
-            break
-        if dual_alg.product(basis[i], list(H.counit)) != basis[i]:
-            ok = False
-            break
-    rep.add("counit functional is the braided unit", ok)
-
-    ok, wit = True, None
-    for a in range(d):
-        left = [f.zero] * d
-        right = [f.zero] * d
-        for (u, v, c) in dual_comul(a):
-            term = dual_alg.product(antipode.column(u), basis[v])
-            for t in range(d):
-                left[t] = f.add(left[t], f.mul(c, term[t]))
-            term = dual_alg.product(basis[u], antipode.column(v))
-            for t in range(d):
-                right[t] = f.add(right[t], f.mul(c, term[t]))
-        target = [f.mul(H.unit[a], e) for e in H.counit]
-        if left != target or right != target:
-            ok, wit = False, {"dual_basis": a}
-            break
-    rep.add("braided dual antipode law", ok, wit)
+    unit_law, associativity = verify_algebra(dual_alg).checks
+    rep.add("braided dual product associative", associativity.ok, associativity.witness)
+    rep.add("counit functional is the braided unit", unit_law.ok)
+    bad = antipode_failure(dual_alg, dual_comul, H.unit, antipode)
+    rep.add("braided dual antipode law", bad is None, None if bad is None else {"dual_basis": bad})
 
     # the monodromy pairing map intertwines the braided structures
     bh = transmute(Q)

@@ -24,10 +24,6 @@ def dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
 
 
-def scalar_to_str(field: Field, v) -> str:
-    return field.show(v)
-
-
 def matrix_to_json(M: Matrix):
     f = M.field
     return [[f.show(v) for v in row] for row in M.rows]
@@ -102,10 +98,6 @@ def structure_hash(H: HopfAlgebra) -> str:
 
 def tse_to_json(t) -> list:
     return t.to_triples()
-
-
-def report_to_json(rep: Report) -> dict:
-    return rep.as_dict()
 
 
 def certificate_to_json(cert) -> dict:

@@ -138,3 +138,95 @@ def test_incomplete_flag_names_offending_factor():
     assert not ch.complete
     # x^2 + 1 survives root extraction over the rationals
     assert any("1, 0, 1" in obs for obs in ch.obstructions)
+
+
+# ----------------------------------------------------------------------
+# the sparse contraction against a plain dense reference
+# ----------------------------------------------------------------------
+
+
+def dense_product(A, u, v):
+    """u v by scanning every (i, j, k) of the multiplication tensor."""
+    f = A.field
+    d = A.dim
+    out = [f.zero] * d
+    for i in range(d):
+        for j in range(d):
+            if f.is_zero(u[i]) or f.is_zero(v[j]):
+                continue
+            ab = f.mul(u[i], v[j])
+            for k in range(d):
+                out[k] = f.add(out[k], f.mul(ab, A.mul.get(i, j, k)))
+    return out
+
+
+def dense_associativity_witness(A):
+    """First (i, j, k) in lexicographic order with (e_i e_j) e_k != e_i (e_j e_k)."""
+    f = A.field
+    d = A.dim
+    basis = [[f.one if t == i else f.zero for t in range(d)] for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            ij = dense_product(A, basis[i], basis[j])
+            for k in range(d):
+                jk = dense_product(A, basis[j], basis[k])
+                if dense_product(A, ij, basis[k]) != dense_product(A, basis[i], jk):
+                    return (i, j, k)
+    return None
+
+
+def _random_scalar(f, rng):
+    from hopfkit.fields import CyclotomicField
+
+    if isinstance(f, PrimeField):
+        return rng.randrange(f.p)
+    q = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    if isinstance(f, CyclotomicField):
+        return f.add(f.from_rational(q), f.mul(f.from_rational(Fraction(rng.randint(-2, 2))), f.generator))
+    return q
+
+
+def _random_vector(f, d, rng, nonzeros):
+    v = [f.zero] * d
+    for i in rng.sample(range(d), nonzeros):
+        v[i] = _random_scalar(f, rng)
+    return v
+
+
+@pytest.mark.parametrize("field_name", ["gf7", "QQ", "cyc3"])
+def test_product_agrees_with_dense_reference(field_name, request):
+    import random
+
+    from hopfkit.qt import double_hopf
+
+    f = request.getfixturevalue(field_name)
+    rng = random.Random(5)
+    for H in (sweedler(f), double_hopf(cyclic_group_algebra(f, 3))):
+        A = H.algebra
+        for nonzeros in (1, 2, A.dim // 2, A.dim):
+            for _ in range(3):
+                u = _random_vector(f, A.dim, rng, nonzeros)
+                v = _random_vector(f, A.dim, rng, rng.randint(1, A.dim))
+                assert A.product(u, v) == dense_product(A, u, v)
+
+
+@pytest.mark.parametrize("double_of,entry,value", [
+    ("kz3", (4, 5, 3), Fraction(2)),    # changes a coefficient
+    ("kz3", (4, 5, 3), Fraction(0)),    # deletes a product
+    ("kz3", (7, 7, 7), Fraction(2)),    # adds a second term to e_7 e_7
+    ("kz3", (8, 3, 7), Fraction(2)),    # fills an empty pair; first failure has e_j e_k = 0
+    ("h4", (15, 14, 15), Fraction(2)),  # multi-term products on both sides
+])
+def test_associativity_witness_matches_dense_scan(double_of, entry, value, request):
+    from hopfkit.algebra import AlgebraPresentation
+    from hopfkit.qt import double_hopf
+
+    D = double_hopf(request.getfixturevalue(double_of))
+    mul = SparseTensor3(D.field, D.mul.dims, dict(D.mul.entries))
+    mul.set(*entry, value)
+    broken = AlgebraPresentation(D.field, D.dim, mul, D.unit)
+    reference = dense_associativity_witness(broken)
+    check = next(c for c in verify_algebra(broken).checks if c.name == "associativity")
+    assert reference is not None
+    assert not check.ok
+    assert check.witness == {"triple": reference}

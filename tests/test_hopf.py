@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -490,3 +491,93 @@ def test_right_coinvariants_are_normal_left_coideal_subalgebras(h4, kz2, h4_kz2)
     for H, pi in cases:
         L = coinvariants(H, pi, "right")
         assert is_normal_left_coideal_subalgebra(H, L).ok
+
+
+def _dense_product(A, u, v):
+    f = A.field
+    out = [f.zero] * A.dim
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if f.is_zero(u[i]) or f.is_zero(v[j]):
+                continue
+            ab = f.mul(u[i], v[j])
+            for k in range(A.dim):
+                out[k] = f.add(out[k], f.mul(ab, A.mul.get(i, j, k)))
+    return out
+
+
+def _dense_adjoint_witness(H, L):
+    """First (e_i, v) with e_i_(1) v S(e_i_(2)) outside L, by dense products."""
+    f = H.field
+    d = H.dim
+    for i in range(d):
+        for v in L.vectors():
+            out = [f.zero] * d
+            for j in range(d):
+                for k in range(d):
+                    c = H.comul.get(i, j, k)
+                    if f.is_zero(c):
+                        continue
+                    term = _dense_product(H.algebra, unit_vector(f, d, j),
+                                          _dense_product(H.algebra, v, H.antipode.column(k)))
+                    out = [f.add(a, f.mul(c, b)) for a, b in zip(out, term)]
+            if not L.contains(out):
+                return {"basis": H.names[i], "vector": v}
+    return None
+
+
+@pytest.mark.parametrize("builder", ["S3", "sweedler"])
+def test_adjoint_stability_witness_matches_dense_scan(builder):
+    from hopfkit.catalog import symmetric_group_algebra
+
+    H = symmetric_group_algebra(QQ, 3) if builder == "S3" else sweedler(QQ)
+    verify_hopf(H)
+    f = H.field
+    witnesses = []
+    for t in range(1, H.dim):
+        L = Subspace(f, H.dim, [list(H.unit), unit_vector(f, H.dim, t)])
+        check = next(c for c in is_normal_left_coideal_subalgebra(H, L).checks
+                     if c.name == "adjoint stability")
+        reference = _dense_adjoint_witness(H, L)
+        assert check.witness == reference
+        assert check.ok == (reference is None)
+        witnesses.append(reference)
+    assert any(w is not None for w in witnesses)
+
+
+def _dense_tensor_product(H, A, B):
+    """Product of two elements of H^(x)n (dicts on index tuples), scanning
+    every output index of every leg."""
+    f = H.field
+    out = {}
+    for x, a in A.items():
+        for y, b in B.items():
+            legs = [[(m, H.mul.get(i, j, m)) for m in range(H.dim)
+                     if not f.is_zero(H.mul.get(i, j, m))] for i, j in zip(x, y)]
+            for key in itertools.product(*legs):
+                v = f.mul(a, b)
+                for _m, c in key:
+                    v = f.mul(v, c)
+                idx = tuple(m for m, _c in key)
+                out[idx] = f.add(out.get(idx, f.zero), v)
+    return {k: v for k, v in out.items() if not f.is_zero(v)}
+
+
+def test_tensor_products_match_dense_reference(double_h4):
+    import random
+
+    from hopfkit.hopf import t3_mul, tt_mul
+
+    H = double_h4.hopf
+    rng = random.Random(2)
+
+    def element(legs, n):
+        return {tuple(rng.randrange(H.dim) for _ in range(legs)): Fraction(rng.choice([-2, -1, 1, 3]))
+                for _ in range(n)}
+
+    for _ in range(20):
+        A, B = element(2, 6), element(2, 6)
+        assert tt_mul(H, A, B) == _dense_tensor_product(H, A, B)
+    for _ in range(5):
+        A, B = element(3, 4), element(3, 4)
+        assert t3_mul(H, A, B) == _dense_tensor_product(H, A, B)

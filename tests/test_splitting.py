@@ -345,6 +345,9 @@ def test_double_splitting_dim81(double_kz3_gf7):
     assert cert.ok, cert.checks.first_failure()
     k1, k2 = cert.dims()
     assert k1 * k2 == 81
+    deep = [c for c in cert.checks.checks
+            if c.name == "twisted componentwise R-matrix verifies directly"]
+    assert len(deep) == 1 and deep[0].ok
 
 
 def test_certificates_are_deterministic(split_input):
