@@ -2,7 +2,7 @@
 
 A job is a single JSON document (see README for the schema):
 
-    {"schema_version": 1,
+    {"schema_version": 2,
      "field": {"kind": "gfp", "p": 7},
      "object": {"builder": "taft", "p": 3, "omega": "2"},
      "tasks": ["obstruct"]}
@@ -55,7 +55,7 @@ from .splitting import (
     verify_certificate,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _TASK_NAMES = {"verify", "analyze", "qt", "split", "obstruct", "double", "check_cert"}
 
@@ -65,8 +65,6 @@ class JobSpec:
     field: Field
     object_spec: object
     tasks: list
-    seed: int = 0
-    jobs: int = 1
     raw: dict = dc_field(default_factory=dict)
 
 
@@ -90,8 +88,7 @@ def parse_jobspec(text: str, field_override: Field = None, default_task: str = N
         ) from None
     if not isinstance(data, dict):
         raise UsageError("job document must be a JSON object")
-    allowed = {"schema_version", "field", "object", "tasks", "seed", "jobs",
-               "r", "pi", "certificate"}
+    allowed = {"schema_version", "field", "object", "tasks", "r", "pi", "certificate"}
     extra = set(data) - allowed
     if extra:
         raise _diag(f"unknown keys {sorted(extra)}", "$")
@@ -118,8 +115,7 @@ def parse_jobspec(text: str, field_override: Field = None, default_task: str = N
         normalized = [_normalize_task(task, 0)]
     else:
         raise _diag("missing required key 'tasks'", "$")
-    return JobSpec(field, data["object"], normalized,
-                   int(data.get("seed", 0)), int(data.get("jobs", 1)), data)
+    return JobSpec(field, data["object"], normalized, data)
 
 
 def _normalize_task(t, index):
@@ -385,8 +381,6 @@ def execute(job: JobSpec):
             "names": list(ctx.hopf.names),
             "hash": structure_hash(ctx.hopf),
         },
-        "seed": job.seed,
-        "jobs": job.jobs,
         "tasks": [],
     }
     all_ok = True
@@ -458,10 +452,6 @@ def _build_arg_parser():
                        help="write the JSON report here")
         p.add_argument("--field", dest="field", default=None,
                        help="field override: rationals, gfp:<p>, cyclotomic:<n>")
-        p.add_argument("--seed", dest="seed", type=int, default=0,
-                       help="seed recorded in the report (reserved for sampled checks)")
-        p.add_argument("--jobs", dest="jobs", type=int, default=1,
-                       help="worker hint; results are identical at any value")
         if verb == "split":
             p.add_argument("--path", dest="path",
                            choices=["factorizable", "fullrank", "auto"], default="auto")
@@ -504,7 +494,7 @@ def main(argv=None) -> int:
             doc = json.loads(text)
             if isinstance(doc, dict) and doc.get("kind") == "split_certificate":
                 job = JobSpec(
-                    field_from_json(doc["field"]),
+                    field_from_json(doc.get("field")),
                     {"builder": "trivial"},
                     [{"task": "check_cert", "certificate": doc}],
                 )
@@ -527,8 +517,6 @@ def main(argv=None) -> int:
             if verb == "split":
                 selected["path"] = args.path
             job.tasks = [_normalize_task(selected, 0)]
-        job.seed = args.seed
-        job.jobs = args.jobs
     except (UsageError, BuilderError, json.JSONDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -56,8 +56,11 @@ class TensorSquareElement:
     @classmethod
     def from_triples(cls, host, triples):
         f = host.field
+        d = host.dim
         coeffs = {}
         for i, j, c in triples:
+            if not (0 <= i < d and 0 <= j < d):
+                raise UsageError(f"tensor index ({i}, {j}) out of range for dim {d}")
             val = f.parse(c) if isinstance(c, str) else c
             cur = coeffs.get((i, j), f.zero)
             coeffs[(i, j)] = f.add(cur, val)
@@ -171,14 +174,15 @@ class TensorSquareElement:
 
 
 def antipode_leg_candidates(H: HopfAlgebra, R: TensorSquareElement):
-    """Inverse candidates for an R-matrix: (S (x) id)(R) and (id (x) S^-1)(R)."""
-    out = []
-    if H.antipode is not None:
-        out.append(R.map_legs(H.antipode, None))
-        sinv = H.antipode.inverse()
-        if sinv is not None:
-            out.append(R.map_legs(None, sinv))
-    return out
+    """Inverse candidates for an R-matrix, made lazily: (S (x) id)(R), which
+    is the inverse of every R-matrix, and only when that fails
+    (id (x) S^-1)(R), the one candidate that needs S inverted."""
+    if H.antipode is None:
+        return
+    yield R.map_legs(H.antipode, None)
+    sinv = H.antipode.inverse()
+    if sinv is not None:
+        yield R.map_legs(None, sinv)
 
 
 # ----------------------------------------------------------------------
@@ -572,19 +576,24 @@ def double_base_projection(DQ: QTStructure, KQ: QTStructure) -> HopfMorphism:
     return pi
 
 
+def componentwise_r(T: HopfAlgebra, r1: TensorSquareElement, r2: TensorSquareElement):
+    """The componentwise element r1 (x) r2 of T (x) T, T the tensor product
+    of the hosts of r1 and r2 in its flat basis."""
+    f = T.field
+    d2 = r2.host.dim
+    coeffs = {}
+    for (i, j), v1 in r1.coeffs.items():
+        for (k, l), v2 in r2.coeffs.items():
+            _put(f, coeffs, (i * d2 + k, j * d2 + l), f.mul(v1, v2))
+    return TensorSquareElement(T, coeffs)
+
+
 def tensor_qt(Q1: QTStructure, Q2: QTStructure) -> QTStructure:
     """Componentwise R-matrix on the tensor product Hopf algebra."""
     from .hopf import tensor_hopf
 
     H = tensor_hopf(Q1.hopf, Q2.hopf)
-    f = H.field
-    d2 = Q2.hopf.dim
-    coeffs = {}
-    for (i, j), v1 in Q1.R.coeffs.items():
-        for (k, l), v2 in Q2.R.coeffs.items():
-            _put(f, coeffs, (i * d2 + k, j * d2 + l), f.mul(v1, v2))
-    R = TensorSquareElement(H, coeffs)
-    return verify_rmatrix(H, R)
+    return verify_rmatrix(H, componentwise_r(H, Q1.R, Q2.R))
 
 
 # ----------------------------------------------------------------------

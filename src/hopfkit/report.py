@@ -15,8 +15,10 @@ from .algebra import AlgebraPresentation
 from .checks import Report
 from .errors import UsageError
 from .fields import Field, field_from_json
-from .hopf import HopfAlgebra, HopfMorphism, QuotientData
+from .hopf import HopfAlgebra, HopfMorphism, QuotientData, tensor_hopf
 from .linalg import Matrix, Subspace
+from .qt import QTStructure, TensorSquareElement, Twist
+from .splitting import SplitCertificate
 from .tensors import SparseTensor3
 
 
@@ -116,9 +118,9 @@ def certificate_to_json(cert) -> dict:
         "r_k2": tse_to_json(cert.r_k2),
         "j": tse_to_json(cert.j.J),
         "j_inverse": tse_to_json(cert.j.J_inv) if cert.j.J_inv is not None else None,
-        "f": matrix_to_json(cert.f.matrix),
+        "f": matrix_to_json(cert.f) if cert.f is not None else None,
         "r_tilde": tse_to_json(cert.r_tilde),
-        "r_target": tse_to_json(cert.r_target),
+        "r_target": tse_to_json(cert.r_target) if cert.r_target is not None else None,
         "checks": cert.checks.as_dict(),
     }
 
@@ -133,48 +135,56 @@ def _quotient_to_json(qd: QuotientData) -> dict:
     }
 
 
+_CERTIFICATE_KEYS = {"kind", "field", "source", "k1", "k2", "r_k1", "r_k2", "j", "j_inverse",
+                     "f", "r_tilde", "r_target", "checks"}
+
+
+def _fields(data, keys: set, what: str) -> dict:
+    """``data`` if it is a dict with exactly ``keys``; a UsageError otherwise."""
+    if not isinstance(data, dict):
+        raise UsageError(f"{what} must be a JSON object")
+    if keys - set(data):
+        raise UsageError(f"{what} is missing keys {sorted(keys - set(data))}")
+    if set(data) - keys:
+        raise UsageError(f"unknown {what} keys {sorted(set(data) - keys)}")
+    return data
+
+
 def certificate_from_json(data: dict):
-    from .qt import QTStructure, TensorSquareElement, verify_rmatrix, verify_twist
-    from .splitting import SplitCertificate
-    from .hopf import tensor_hopf
-
-    if data.get("kind") != "split_certificate":
+    """Decode a split certificate without checking any of it: R, J, its
+    inverse, F and the twisted R-matrix are kept as the document gives
+    them, the source and the twist are marked unverified, and the twisted
+    tensor product is not rebuilt.  verify_certificate is the re-check."""
+    if not isinstance(data, dict) or data.get("kind") != "split_certificate":
         raise UsageError("not a split certificate document")
-    field = field_from_json(data["field"])
-    H = hopf_from_json(field, data["source"]["structure"])
-    R = TensorSquareElement.from_triples(H, data["source"]["r"])
-    Q = verify_rmatrix(H, R)
-    k1 = _quotient_from_json(field, H, data["k1"])
-    k2 = _quotient_from_json(field, H, data["k2"])
-    K1, K2 = k1.quotient, k2.quotient
-    r_k1 = TensorSquareElement.from_triples(K1, data["r_k1"])
-    r_k2 = TensorSquareElement.from_triples(K2, data["r_k2"])
-    T = tensor_hopf(K1, K2)
-    J = TensorSquareElement.from_triples(T, data["j"])
-    cands = []
-    if data.get("j_inverse") is not None:
-        cands.append(TensorSquareElement.from_triples(T, data["j_inverse"]))
-    twist = verify_twist(T, J, inverse_candidates=cands)
-    from .qt import apply_twist
-    from .splitting import componentwise_r
-
-    r_tilde = componentwise_r(T, r_k1, r_k2, K2.dim)
-    # a tampered document may carry an invalid twist; keep it loadable so
-    # verify_certificate can report the failing identity
-    if twist.verified:
-        twisted, r_target = apply_twist(T, twist, R=r_tilde)
-    else:
-        twisted, r_target = T, None
-    F = matrix_from_json(field, data["f"])
-    fmor = HopfMorphism(H, twisted, F)
-    checks = Report()
-    for c in data.get("checks", {}).get("checks", []):
-        checks.add(c["name"], c["ok"], c.get("witness"))
-    return SplitCertificate(Q, k1, k2, r_k1, r_k2, T, twisted, twist,
-                            r_tilde, r_target, fmor, checks)
+    _fields(data, _CERTIFICATE_KEYS, "certificate")
+    try:
+        field = field_from_json(data["field"])
+        source = _fields(data["source"], {"structure", "hash", "r"}, "certificate source")
+        H = hopf_from_json(field, source["structure"])
+        k1 = _quotient_from_json(field, H, data["k1"])
+        k2 = _quotient_from_json(field, H, data["k2"])
+        T = tensor_hopf(k1.quotient, k2.quotient)
+        tse = TensorSquareElement.from_triples
+        J_inv = tse(T, data["j_inverse"]) if data["j_inverse"] is not None else None
+        # the twisted tensor product has the algebra of T, so T hosts its R-matrix
+        r_target = tse(T, data["r_target"]) if data["r_target"] is not None else None
+        F = matrix_from_json(field, data["f"]) if data["f"] is not None else None
+        if F is not None and F.shape != (T.dim, H.dim):
+            raise UsageError(f"certificate F must be {T.dim}x{H.dim}, got {F.shape}")
+        checks = Report()
+        for c in _fields(data["checks"], {"ok", "checks"}, "certificate checks")["checks"]:
+            checks.add(c["name"], c["ok"], c.get("witness"))
+        return SplitCertificate(QTStructure(H, tse(H, source["r"]), Report(), False), k1, k2,
+                                tse(k1.quotient, data["r_k1"]), tse(k2.quotient, data["r_k2"]),
+                                T, None, Twist(T, tse(T, data["j"]), J_inv, Report(), False),
+                                tse(T, data["r_tilde"]), r_target, F, checks)
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise UsageError(f"malformed certificate ({type(exc).__name__}: {exc})") from None
 
 
 def _quotient_from_json(field: Field, H: HopfAlgebra, data: dict) -> QuotientData:
+    _fields(data, {"projection", "section", "ideal", "quotient"}, "certificate quotient")
     quotient = hopf_from_json(field, data["quotient"])
     projection = HopfMorphism(H, quotient, matrix_from_json(field, data["projection"]))
     section = matrix_from_json(field, data["section"])

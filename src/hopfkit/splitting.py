@@ -5,7 +5,16 @@ is a twisted tensor product: quotients K1, K2 with projections, the
 twist J on K1 (x) K2, the comparison map F = (pi1 (x) pi2) o Delta onto
 the twisted tensor product, and the carried R-matrix identity
 (F (x) F)(R) = J21 Rtilde J^-1.  Every identity is stored as a named
-check; verify_certificate re-runs all of them from the stored data.
+check.  Every splitting, the double included, ends in the same
+construction, twisted_tensor_certificate.
+
+verify_certificate re-checks, from the stored data alone, the
+identities that make the splitting: the projections are surjective Hopf
+maps, (pi1 x pi2)(R21 R) = 1 x 1, J is a twist, and F is a bijective
+Hopf map onto the twisted tensor product that carries R to
+J21 Rtilde J^-1.  It does not repeat the construction's checks on the
+coideal subalgebras, the pushed R-matrices, the twisted Hopf axioms, the
+direct R-matrix check or the checks particular to one splitting path.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from .qt import (
     TensorSquareElement,
     Twist,
     apply_twist,
+    componentwise_r,
     double_base_projection,
     drinfeld_double,
     lr_maps,
@@ -93,11 +103,11 @@ class SplitCertificate:
     r_k1: TensorSquareElement
     r_k2: TensorSquareElement
     tensor: HopfAlgebra
-    twisted: HopfAlgebra
+    twisted: HopfAlgebra  # None when J is not a verified twist
     j: Twist
     r_tilde: TensorSquareElement
-    r_target: TensorSquareElement
-    f: HopfMorphism
+    r_target: TensorSquareElement  # J21 Rtilde J^-1; None when J is not a verified twist
+    f: Matrix  # the comparison map F; None when J is not a verified twist
     checks: Report
     witness: FactorizationWitness = None
 
@@ -129,15 +139,6 @@ def _tensor_vector(f, left, right, d2):
             if not f.is_zero(b):
                 out[i * d2 + j] = f.mul(a, b)
     return out
-
-
-def componentwise_r(T: HopfAlgebra, r1: TensorSquareElement, r2: TensorSquareElement, d2: int):
-    f = T.field
-    coeffs = {}
-    for (i, j), v1 in r1.coeffs.items():
-        for (k, l), v2 in r2.coeffs.items():
-            _put(f, coeffs, (i * d2 + k, j * d2 + l), f.mul(v1, v2))
-    return TensorSquareElement(T, coeffs)
 
 
 def theorem_twist(T: HopfAlgebra, Q: QTStructure, pi1: HopfMorphism, pi2: HopfMorphism) -> Twist:
@@ -193,25 +194,37 @@ def build_certificate(Q: QTStructure, L1: Subspace, L2: Subspace) -> SplitCertif
     """Run the twisted-tensor-product construction from two normal left
     coideal subalgebras and record every identity as a check."""
     H = Q.hopf
-    f = H.field
     checks = Report()
     witness = exact_factorization(H, L1, L2)
     checks.add("L1 is a normal left coideal subalgebra", witness.normal_l1.ok)
     checks.add("L2 is a normal left coideal subalgebra", witness.normal_l2.ok)
     checks.add("exact factorization is bijective", witness.bijective, witness.reason or None)
+    cert = twisted_tensor_certificate(Q, quotient_by_coideal(H, L1),
+                                      quotient_by_coideal(H, L2), checks)
+    cert.witness = witness
+    return cert
 
-    k1 = quotient_by_coideal(H, L1)
-    k2 = quotient_by_coideal(H, L2)
+
+def twisted_tensor_certificate(Q: QTStructure, k1: QuotientData, k2: QuotientData,
+                               checks: Report) -> SplitCertificate:
+    """The construction every splitting ends in.  From the quotients K1, K2
+    of (H, R): check the projections and the pushed R-matrices, build the
+    twist J of theorem_twist on K1 (x) K2, twist the tensor product, and
+    check that F = (pi1 (x) pi2) o Delta is a Hopf isomorphism onto it
+    carrying R to J21 Rtilde J^-1.  Each identity is appended to checks;
+    a J that is not a twist ends the construction at its failing check."""
+    H = Q.hopf
+    f = H.field
     pi1, pi2 = k1.projection, k2.projection
+    K1, K2 = k1.quotient, k2.quotient
     checks.add("pi1 is a verified Hopf surjection", pi1.verify().ok and pi1.is_surjective())
     checks.add("pi2 is a verified Hopf surjection", pi2.verify().ok and pi2.is_surjective())
 
     mono = monodromy(Q)
     pushed = tt_apply(f, mono.coeffs, pi1.matrix, pi2.matrix)
     checks.add("(pi1 x pi2)(R21 R) = 1 x 1",
-               pushed == _outer_unit_pair(f, k1.quotient.unit, k2.quotient.unit))
+               pushed == _outer_unit_pair(f, K1.unit, K2.unit))
 
-    K1, K2 = k1.quotient, k2.quotient
     r_k1 = Q.R.map_legs(pi1.matrix, pi1.matrix, new_host=K1)
     r_k2 = Q.R.map_legs(pi2.matrix, pi2.matrix, new_host=K2)
     q1 = verify_rmatrix(K1, r_k1)
@@ -220,19 +233,18 @@ def build_certificate(Q: QTStructure, L1: Subspace, L2: Subspace) -> SplitCertif
     checks.add("pushed R-matrix verifies on K2", q2.verified)
 
     T = tensor_hopf(K1, K2)
-    r_tilde = componentwise_r(T, r_k1, r_k2, K2.dim)
+    r_tilde = componentwise_r(T, r_k1, r_k2)
     twist = theorem_twist(T, Q, pi1, pi2)
     checks.add("J is a verified twist on K1 x K2", twist.verified)
     if not twist.verified:
         return SplitCertificate(Q, k1, k2, r_k1, r_k2, T, None, twist, r_tilde,
-                                None, None, checks, witness)
+                                None, None, checks)
 
     twisted, r_target = apply_twist(T, twist, R=r_tilde)
     checks.add("twisted tensor product passes the Hopf axioms", verify_hopf(twisted).ok)
 
     F = comparison_map(H, twisted, pi1, pi2)
-    fmor = HopfMorphism(H, twisted, F)
-    frep = fmor.verify()
+    frep = HopfMorphism(H, twisted, F).verify()
     checks.add("F is a Hopf map onto the twisted tensor product", frep.ok,
                None if frep.ok else frep.first_failure().name)
     checks.add("F is bijective", F.rank() == H.dim)
@@ -242,7 +254,7 @@ def build_certificate(Q: QTStructure, L1: Subspace, L2: Subspace) -> SplitCertif
     checks.add("twisted componentwise R-matrix verifies directly",
                verify_rmatrix(twisted, r_target).verified)
     return SplitCertificate(Q, k1, k2, r_k1, r_k2, T, twisted, twist, r_tilde,
-                            r_target, fmor, checks, witness)
+                            r_target, F, checks)
 
 
 # ----------------------------------------------------------------------
@@ -336,25 +348,21 @@ def double_splitting(KQ: QTStructure) -> SplitCertificate:
     tensor square of K with the literal twist
     J = sum (1 (x) R^i) (x) (R_i (x) 1).
 
-    The first projection sends f (x) k to S(r_R(f)) k and the second to
-    l_R(f) k; both are verified Hopf surjections onto K, the second
-    carries the canonical double R-matrix to R itself, and the twist from
-    the general splitting construction is checked to coincide with the
-    literal J.
+    twisted_tensor_certificate runs on two projections of the double onto
+    K, the first sending f (x) k to S(r_R(f)) k and the second to
+    l_R(f) k.  Two checks follow its own: the second projection carries
+    the canonical double R-matrix to R itself, and the twist of the
+    construction coincides with the literal J.
     """
     _require_qt(KQ)
-    maps = phi_maps(KQ)
-    if maps.phi.rank() != KQ.hopf.dim:
+    if not KQ.factorizable:
         raise PreconditionError("double_splitting needs a factorizable input")
     K = KQ.hopf
     f = K.field
     n = K.dim
     DQ = drinfeld_double(K)
-    D = DQ.hopf
 
     pi1 = double_base_projection(DQ, KQ)  # f (x) k -> S(r_R(f)) k
-    if not pi1.verify().ok:
-        raise AssertionError("first double projection failed to be a Hopf map")
     P2 = Matrix.zeros(f, n, n * n)
     for a in range(n):
         l_fa = KQ.R.apply_first(unit_vector(f, n, a))
@@ -362,23 +370,11 @@ def double_splitting(KQ: QTStructure) -> SplitCertificate:
             col = K.algebra.product(l_fa, unit_vector(f, n, h))
             for t in range(n):
                 P2.rows[t][a * n + h] = col[t]
-    pi2 = HopfMorphism(D, K, P2)
-    if not pi2.verify().ok:
-        raise AssertionError("second double projection failed to be a Hopf map")
+    pi2 = HopfMorphism(DQ.hopf, K, P2)
+    cert = twisted_tensor_certificate(DQ, _quotient_data_from_projection(pi1),
+                                      _quotient_data_from_projection(pi2), Report())
+    cert.checks.add("second factor carries the original R-matrix", cert.r_k2 == KQ.R)
 
-    checks = Report()
-    checks.add("pi1 is a verified Hopf surjection", pi1.verified and pi1.is_surjective())
-    checks.add("pi2 is a verified Hopf surjection", pi2.verified and pi2.is_surjective())
-
-    r_k1 = DQ.R.map_legs(pi1.matrix, pi1.matrix, new_host=K)
-    r_k2 = DQ.R.map_legs(pi2.matrix, pi2.matrix, new_host=K)
-    checks.add("pushed R-matrix verifies on the first factor", verify_rmatrix(K, r_k1).verified)
-    checks.add("pushed R-matrix verifies on the second factor", verify_rmatrix(K, r_k2).verified)
-    checks.add("second factor carries the original R-matrix", r_k2 == KQ.R)
-
-    T = tensor_hopf(K, K)
-    r_tilde = componentwise_r(T, r_k1, r_k2, n)
-    twist = theorem_twist(T, DQ, pi1, pi2)
     u = K.unit
     jc = {}
     for (i, j), v in KQ.R.coeffs.items():
@@ -390,34 +386,9 @@ def double_splitting(KQ: QTStructure) -> SplitCertificate:
             for b, bv in enumerate(right):
                 if not f.is_zero(bv):
                     _put(f, jc, (a, b), f.mul(v, f.mul(av, bv)))
-    checks.add("the twist equals the literal form sum (1 x R^i) x (R_i x 1)",
-               twist.J == TensorSquareElement(T, jc))
-    checks.add("the twist verifies on K x K", twist.verified)
-    if not twist.verified:
-        raise AssertionError("the double twist failed the cocycle identity")
-
-    twisted, r_target = apply_twist(T, twist, R=r_tilde)
-    checks.add("twisted tensor square passes the Hopf axioms", verify_hopf(twisted).ok)
-    mono = monodromy(DQ)
-    pushed = tt_apply(f, mono.coeffs, pi1.matrix, pi2.matrix)
-    checks.add("(pi1 x pi2)(R21 R) = 1 x 1", pushed == _outer_unit_pair(f, K.unit, K.unit))
-
-    F = comparison_map(D, twisted, pi1, pi2)
-    fmor = HopfMorphism(D, twisted, F)
-    frep = fmor.verify()
-    checks.add("F is a Hopf map onto the twisted tensor square", frep.ok,
-               None if frep.ok else frep.first_failure().name)
-    checks.add("F is bijective", F.rank() == D.dim)
-    carried = tt_apply(f, DQ.R.coeffs, F, F)
-    checks.add("(F x F)(R) equals the twisted componentwise R-matrix",
-               carried == r_target.coeffs)
-    checks.add("twisted componentwise R-matrix verifies directly",
-               verify_rmatrix(twisted, r_target).verified)
-
-    k1 = _quotient_data_from_projection(pi1)
-    k2 = _quotient_data_from_projection(pi2)
-    return SplitCertificate(DQ, k1, k2, r_k1, r_k2, T, twisted, twist,
-                            r_tilde, r_target, fmor, checks)
+    cert.checks.add("the twist equals the literal form sum (1 x R^i) x (R_i x 1)",
+                    cert.j.J == TensorSquareElement(cert.tensor, jc))
+    return cert
 
 
 def _quotient_data_from_projection(pi: HopfMorphism) -> QuotientData:
@@ -578,11 +549,10 @@ def obstruction_check(H: HopfAlgebra) -> ObstructionReport:
 
 
 def verify_certificate(cert: SplitCertificate) -> Report:
-    """Re-check every certificate identity from the stored data alone: the
-    twisted tensor product and its coproduct are rebuilt from J, never
-    trusted from the construction path."""
-    from .qt import apply_twist
-
+    """Re-check the certificate's defining identities (listed in the module
+    docstring) from the stored data alone: the componentwise R-matrix, the
+    twisted tensor product and its coproduct are rebuilt from the factor
+    R-matrices and J, never trusted from the construction path."""
     rep = Report()
     Q = cert.source
     f = Q.hopf.field
@@ -597,18 +567,19 @@ def verify_certificate(cert: SplitCertificate) -> Report:
     rep.add("(pi1 x pi2)(R21 R) = 1 x 1",
             pushed == _outer_unit_pair(f, cert.k1.quotient.unit, cert.k2.quotient.unit))
 
-    twist = verify_twist(cert.tensor, cert.j.J,
-                         inverse_candidates=[cert.j.J_inv] if cert.j.J_inv else ())
+    twist = verify_twist(cert.tensor, cert.j.J, inverse_candidates=[cert.j.J_inv])
     rep.add("twist axioms", twist.verified)
-    if not twist.verified:
-        rep.add("F is a Hopf map", False, "not evaluable: the twist is invalid")
-        rep.add("(F x F)(R) = J21 Rtilde J^-1", False, "not evaluable: the twist is invalid")
+    missing = ("the twist is invalid" if not twist.verified
+               else "the certificate stores no F" if cert.f is None else None)
+    if missing:
+        rep.add("F is a Hopf map", False, f"not evaluable: {missing}")
+        rep.add("(F x F)(R) = J21 Rtilde J^-1", False, f"not evaluable: {missing}")
         return rep
-    twisted, r_expected = apply_twist(cert.tensor, twist, R=cert.r_tilde)
-    fmor = HopfMorphism(Q.hopf, twisted, cert.f.matrix)
-    rep.add("F is a Hopf map", fmor.verify().ok)
-    rep.add("F is bijective", cert.f.matrix.rank() == Q.hopf.dim)
-    carried = tt_apply(f, Q.R.coeffs, cert.f.matrix, cert.f.matrix)
+    r_tilde = componentwise_r(cert.tensor, cert.r_k1, cert.r_k2)
+    twisted, r_expected = apply_twist(cert.tensor, twist, R=r_tilde)
+    rep.add("F is a Hopf map", HopfMorphism(Q.hopf, twisted, cert.f).verify().ok)
+    rep.add("F is bijective", cert.f.rank() == Q.hopf.dim)
+    carried = tt_apply(f, Q.R.coeffs, cert.f, cert.f)
     rep.add("(F x F)(R) = J21 Rtilde J^-1", carried == r_expected.coeffs)
     return rep
 

@@ -14,7 +14,7 @@ def _run(job_dict, **kw):
 
 
 TAFT_OBSTRUCT = {
-    "schema_version": 1,
+    "schema_version": 2,
     "field": {"kind": "gfp", "p": 7},
     "object": {"builder": "taft", "p": 3, "omega": "2"},
     "tasks": ["obstruct"],
@@ -195,16 +195,6 @@ def test_reports_are_deterministic():
     assert dumps_stable(r1) == dumps_stable(r2)
 
 
-def test_jobs_flag_does_not_change_results():
-    j1 = parse_jobspec(json.dumps(TAFT_OBSTRUCT))
-    j2 = parse_jobspec(json.dumps(TAFT_OBSTRUCT))
-    j2.jobs = 4
-    r1, _, _ = execute(j1)
-    r2, _, _ = execute(j2)
-    r1.pop("jobs"), r2.pop("jobs")
-    assert dumps_stable(r1) == dumps_stable(r2)
-
-
 def test_report_embeds_field_and_hash():
     report, _, _ = _run(TAFT_OBSTRUCT)
     assert report["field"] == {"kind": "prime_field", "p": 7}
@@ -274,6 +264,110 @@ def test_main_verb_uses_matching_document_task(tmp_path):
     inp.write_text(json.dumps(doc))
     # the obstruct verb picks its own task out of the document
     assert main(["obstruct", "--in", str(inp)]) == 0
+
+
+def test_seed_and_jobs_are_gone(tmp_path, capsys):
+    doc = dict(TAFT_OBSTRUCT, seed="abc")
+    inp = tmp_path / "job.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["obstruct", "--in", str(inp)]) == 2
+    assert "unknown keys ['seed']" in capsys.readouterr().err
+    inp.write_text(json.dumps(TAFT_OBSTRUCT))
+    for flag in ("--seed", "--jobs"):
+        with pytest.raises(SystemExit) as exc:
+            main(["obstruct", "--in", str(inp), flag, "1"])
+        assert exc.value.code == 2
+    report, _, _ = _run(TAFT_OBSTRUCT)
+    assert report["schema_version"] == 2 and "seed" not in report and "jobs" not in report
+
+
+@pytest.fixture(scope="module")
+def split_cert_doc(split_input):
+    from hopfkit.report import certificate_to_json
+    from hopfkit.splitting import split_via_fullrank
+
+    return json.loads(dumps_stable(certificate_to_json(split_via_fullrank(*split_input))))
+
+
+def _check_cert(tmp_path, doc):
+    inp = tmp_path / "cert.json"
+    inp.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = main(["check-cert", "--in", str(inp), "--out", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+@pytest.mark.parametrize("key", ["kind", "field", "source", "k1", "k2", "r_k1", "r_k2", "j",
+                                 "j_inverse", "f", "r_tilde", "r_target", "checks"])
+def test_check_cert_missing_key_is_input_error(tmp_path, capsys, split_cert_doc, key):
+    doc = {k: v for k, v in split_cert_doc.items() if k != key}
+    assert _check_cert(tmp_path, doc)[0] == 2
+    assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("source", []),
+    ("source", {"structure": {}, "hash": "", "r": []}),
+    ("k1", {"projection": [["1"]]}),
+    ("r_k1", [[99, 0, "1"]]),
+    ("j", "not triples"),
+    ("f", [["1"]]),
+    ("checks", {"ok": True}),
+    ("checks", {"ok": True, "checks": [{"name": "x"}]}),
+])
+def test_check_cert_misshaped_key_is_input_error(tmp_path, capsys, split_cert_doc, key, value):
+    assert _check_cert(tmp_path, dict(split_cert_doc, **{key: value}))[0] == 2
+    assert "input error" in capsys.readouterr().err
+
+
+def test_check_cert_without_f_is_a_failing_verdict(tmp_path, split_cert_doc):
+    code, report = _check_cert(tmp_path, dict(split_cert_doc, f=None))
+    assert code == 1
+    checks = {c["name"]: c for c in report["tasks"][0]["checks"]}
+    assert checks["twist axioms"]["ok"]
+    assert checks["F is a Hopf map"]["witness"] == "not evaluable: the certificate stores no F"
+
+
+@pytest.fixture
+def doubled_twist(monkeypatch):
+    """theorem_twist returning 2 J: invertible, but (eps x id)(2 J) = 2."""
+    import hopfkit.splitting as splitting
+    from hopfkit.qt import verify_twist
+
+    real = splitting.theorem_twist
+
+    def doubled(T, Q, pi1, pi2):
+        J = real(T, Q, pi1, pi2).J
+        return verify_twist(T, J + J)
+
+    monkeypatch.setattr(splitting, "theorem_twist", doubled)
+
+
+@pytest.mark.parametrize("verb", ["split", "double"])
+def test_failed_twist_is_a_failing_verdict(tmp_path, split_input, doubled_twist, verb):
+    if verb == "split":
+        doc = {"field": {"kind": "rationals"},
+               "object": {"builder": "tensor", "left": "sweedler", "right": "Z2"},
+               "r": split_input[0].R.to_triples(), "pi": "tensor_first"}
+    else:
+        doc = {"field": {"kind": "rationals"}, "object": {"builder": "double", "of": "Z2"},
+               "r": "canonical"}
+    inp = tmp_path / "job.json"
+    out = tmp_path / "report.json"
+    inp.write_text(json.dumps(doc))
+    assert main([verb, "--in", str(inp), "--out", str(out)]) == 1
+    entry = json.loads(out.read_text())["tasks"][0]
+    assert entry["verdict"] == "fail"
+    cert = entry["certificate"]
+    assert cert["f"] is None and cert["r_target"] is None
+    failed = [c["name"] for c in cert["checks"]["checks"] if not c["ok"]]
+    assert "J is a verified twist on K1 x K2" in failed
+
+    code, report = _check_cert(tmp_path, cert)
+    assert code == 1
+    checks = {c["name"]: c for c in report["tasks"][0]["checks"]}
+    assert not checks["twist axioms"]["ok"]
+    assert checks["F is a Hopf map"]["witness"] == "not evaluable: the twist is invalid"
 
 
 def test_builder_expressions_cover_catalog(kz2_rfamily):

@@ -69,6 +69,15 @@ def test_sweedler_corrupted_r_fails(h4):
     assert not q.verified
 
 
+def test_rmatrix_check_does_not_invert_the_antipode(double_kz3_gf7, monkeypatch):
+    # (S x id)(R) is the inverse of every R-matrix, so S^-1 is never needed
+    def no_inverse(self):
+        raise AssertionError("Matrix.inverse called")
+
+    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    assert verify_rmatrix(double_kz3_gf7.hopf, double_kz3_gf7.R).verified
+
+
 def test_non_invertible_r_gets_distinct_error(kz2):
     R = TensorSquareElement.from_triples(kz2, [[0, 0, "1"], [0, 1, "1"]])
     # (1 (x) (1 + g)) is a zero divisor in the group algebra square
