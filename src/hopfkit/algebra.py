@@ -19,6 +19,13 @@ from .linalg import Matrix, Subspace, unit_vector, vec_add, vec_is_zero, vec_sca
 from .tensors import SparseTensor3
 
 
+def basis_names(names, dim) -> list:
+    """names as a list of dim basis names; UsageError on a wrong length."""
+    if len(names) != dim:
+        raise UsageError(f"{len(names)} basis names given for dimension {dim}")
+    return list(names)
+
+
 class AlgebraPresentation:
     def __init__(self, field, dim, mul: SparseTensor3, unit, names=None):
         if mul.dims != (dim, dim, dim):
@@ -29,7 +36,7 @@ class AlgebraPresentation:
         self.dim = dim
         self.mul = mul
         self.unit = list(unit)
-        self.names = list(names) if names else [f"e{i}" for i in range(dim)]
+        self.names = basis_names(names, dim) if names is not None else [f"e{i}" for i in range(dim)]
 
     def basis_product(self, i, j):
         return self.mul.pair_index().get((i, j), [])

@@ -38,7 +38,7 @@ from .errors import (
 from .fields import Field, field_from_json
 from .hopf import HopfAlgebra, HopfMorphism, grouplikes, verify_hopf
 from .linalg import Matrix
-from .qt import TensorSquareElement, drinfeld_double, verify_rmatrix
+from .qt import TensorSquareElement, canonical_double_r, verify_rmatrix
 from .report import (
     certificate_from_json,
     certificate_to_json,
@@ -178,7 +178,8 @@ def _resolve_r(ctx: _ObjectContext, rspec) -> TensorSquareElement:
     if rspec == "canonical":
         if ctx.double_of is None:
             raise UsageError("'canonical' R-matrix is only defined for double objects")
-        return drinfeld_double(ctx.double_of).R
+        K = ctx.double_of
+        return canonical_double_r(H, K.dim, K.counit, K.unit)
     if isinstance(rspec, list):
         return TensorSquareElement.from_triples(H, rspec)
     raise UsageError(f"bad R-matrix specification {rspec!r}")

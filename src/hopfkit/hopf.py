@@ -8,15 +8,19 @@ Conventions, fixed once for the whole package:
 * elements of H (x) H are sparse dicts (i, j) -> scalar on the flat basis
   e_i (x) e_j, and similarly for triple tensors.
 
-The antipode is optional input; when absent it is computed as the
-convolution inverse of the identity by one linear solve, and a singular
-system is reported as "no antipode" rather than raised.
+The antipode is a property of HopfAlgebra: the matrix given to the
+constructor, or else the convolution inverse of the identity, solved
+once by one linear system on the first read; a singular system makes it
+None ("no antipode") rather than raising.  No verifier writes it, and
+``antipode_source`` records which it was: "given", "computed" (by that
+solve, also when it found none), or None while it is not yet determined.
 """
 
 from __future__ import annotations
 
 from .algebra import (
     AlgebraPresentation,
+    basis_names,
     characters,
     center,
     dense_vector,
@@ -46,15 +50,7 @@ def _put(field, acc, key, val):
 
 
 def tt_unit(H) -> dict:
-    f = H.field
-    out = {}
-    for i, a in enumerate(H.unit):
-        if f.is_zero(a):
-            continue
-        for j, b in enumerate(H.unit):
-            if not f.is_zero(b):
-                _put(f, out, (i, j), f.mul(a, b))
-    return out
+    return tt_outer(H, H.unit, H.unit)
 
 
 def tt_outer(H, u, v) -> dict:
@@ -164,6 +160,19 @@ def t3_embed(field, A: dict, spots, unit_vec) -> dict:
     return out
 
 
+def comul_image(comul: SparseTensor3, vec) -> dict:
+    """Delta(vec) as a sparse tensor square, Delta given by its tensor."""
+    f = comul.field
+    out = {}
+    ci = comul.first_index()
+    for i, a in enumerate(vec):
+        if f.is_zero(a):
+            continue
+        for (j, k, c) in ci.get(i, []):
+            _put(f, out, (j, k), f.mul(a, c))
+    return out
+
+
 def comul_leg(H, A: dict, leg: int) -> dict:
     """Apply the comultiplication to one leg of a tensor square."""
     f = H.field
@@ -192,11 +201,25 @@ class HopfAlgebra:
             raise UsageError("comultiplication tensor has wrong dimensions")
         if len(counit) != self.dim:
             raise UsageError("counit vector has wrong length")
+        if antipode is not None and antipode.shape != (self.dim, self.dim):
+            raise UsageError(
+                f"antipode must be {self.dim}x{self.dim}, got {antipode.shape[0]}x{antipode.shape[1]}"
+            )
         self.comul = comul
         self.counit = list(counit)
-        self.antipode = antipode
+        self._antipode = antipode
+        self.antipode_source = "given" if antipode is not None else None
         if names:
-            self.algebra.names = list(names)
+            self.algebra.names = basis_names(names, self.dim)
+
+    @property
+    def antipode(self):
+        """S as given to the constructor, or else solve_antipode(self), run
+        on the first read only; None means that no antipode exists."""
+        if self.antipode_source is None:
+            self._antipode = solve_antipode(self)
+            self.antipode_source = "computed"
+        return self._antipode
 
     @property
     def names(self):
@@ -211,15 +234,7 @@ class HopfAlgebra:
         return self.algebra.mul
 
     def comul_of(self, vec) -> dict:
-        f = self.field
-        out = {}
-        ci = self.comul.first_index()
-        for i, a in enumerate(vec):
-            if f.is_zero(a):
-                continue
-            for (j, k, c) in ci.get(i, []):
-                _put(f, out, (j, k), f.mul(a, c))
-        return out
+        return comul_image(self.comul, vec)
 
     def counit_of(self, vec):
         f = self.field
@@ -308,6 +323,38 @@ def antipode_failure(algebra, basis_comul, counit, S):
     return None
 
 
+def coassociativity_failure(field, dim, basis_comul):
+    """First basis index i with (Delta x id) Delta(e_i) unequal to
+    (id x Delta) Delta(e_i), or None; basis_comul as in antipode_failure."""
+    for i in range(dim):
+        lhs = {}
+        rhs = {}
+        for (j, k, c) in basis_comul(i):
+            for (p, q, c2) in basis_comul(j):
+                _put(field, lhs, (p, q, k), field.mul(c, c2))
+            for (p, q, c2) in basis_comul(k):
+                _put(field, rhs, (j, p, q), field.mul(c, c2))
+        if lhs != rhs:
+            return i
+    return None
+
+
+def counit_failure(field, basis_comul, counit):
+    """First basis index i with (eps x id) Delta(e_i) or (id x eps) Delta(e_i)
+    unequal to e_i, or None; basis_comul as in antipode_failure."""
+    d = len(counit)
+    for i in range(d):
+        left = [field.zero] * d
+        right = [field.zero] * d
+        for (j, k, c) in basis_comul(i):
+            left[k] = field.add(left[k], field.mul(c, counit[j]))
+            right[j] = field.add(right[j], field.mul(c, counit[k]))
+        e_i = unit_vector(field, d, i)
+        if left != e_i or right != e_i:
+            return i
+    return None
+
+
 def sparse_columns(M: Matrix):
     """The columns of M as sparse operands [(row, value)]."""
     f = M.field
@@ -320,33 +367,10 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     d = H.dim
     rep = Report()
     rep.extend(verify_algebra(H.algebra))
-
-    ok, wit = True, None
-    for i in range(d):
-        lhs = {}
-        rhs = {}
-        for (j, k, c) in H.basis_comul(i):
-            for (p, q, c2) in H.basis_comul(j):
-                _put(f, lhs, (p, q, k), f.mul(c, c2))
-            for (p, q, c2) in H.basis_comul(k):
-                _put(f, rhs, (j, p, q), f.mul(c, c2))
-        if lhs != rhs:
-            ok, wit = False, {"basis": H.names[i]}
-            break
-    rep.add("coassociativity", ok, wit)
-
-    ok, wit = True, None
-    for i in range(d):
-        left = [f.zero] * d
-        right = [f.zero] * d
-        for (j, k, c) in H.basis_comul(i):
-            left[k] = f.add(left[k], f.mul(c, H.counit[j]))
-            right[j] = f.add(right[j], f.mul(c, H.counit[k]))
-        e_i = unit_vector(f, d, i)
-        if left != e_i or right != e_i:
-            ok, wit = False, {"basis": H.names[i]}
-            break
-    rep.add("counit law", ok, wit)
+    bad = coassociativity_failure(f, d, H.basis_comul)
+    rep.add("coassociativity", bad is None, None if bad is None else {"basis": H.names[bad]})
+    bad = counit_failure(f, H.basis_comul, H.counit)
+    rep.add("counit law", bad is None, None if bad is None else {"basis": H.names[bad]})
 
     ok = H.comul_of(H.unit) == tt_unit(H)
     rep.add("comultiplication of the unit", ok)
@@ -379,16 +403,13 @@ def verify_hopf(H: HopfAlgebra) -> Report:
                 break
     rep.add("counit is an algebra map", ok, wit)
 
-    if H.antipode is None:
-        solved = solve_antipode(H)
-        if solved is None:
-            rep.add("antipode exists", False, "convolution system is singular")
-            return rep
-        H.antipode = solved
-        rep.add("antipode exists", True, "computed by convolution inversion")
-    else:
-        rep.add("antipode exists", True)
-    rep.add("antipode law", _antipode_ok(H, H.antipode))
+    S = H.antipode
+    if S is None:
+        rep.add("antipode exists", False, "convolution system is singular")
+        return rep
+    rep.add("antipode exists", True,
+            "computed by convolution inversion" if H.antipode_source == "computed" else None)
+    rep.add("antipode law", _antipode_ok(H, S))
     return rep
 
 
@@ -633,42 +654,33 @@ def grouplikes(H: HopfAlgebra, supplied=None) -> GroupLikeData:
 
 def coinvariants(H: HopfAlgebra, pi: HopfMorphism, side: str = "right") -> Subspace:
     """Right: solutions of (id (x) pi) Delta h = h (x) 1; left mirrors it."""
-    f = H.field
-    d = H.dim
-    K = pi.target
-    P = pi.matrix
-    unit_K = K.unit
-    rows = []
-    ci = H.comul.first_index()
-    if side == "right":
-        for j in range(d):
-            for b in range(K.dim):
-                row = [f.zero] * d
-                for i in range(d):
-                    acc = f.zero
-                    for (jj, k, c) in ci.get(i, []):
-                        if jj == j:
-                            acc = f.add(acc, f.mul(c, P.rows[b][k]))
-                    if i == j:
-                        acc = f.sub(acc, unit_K[b])
-                    row[i] = acc
-                rows.append(row)
-    elif side == "left":
-        for k in range(d):
-            for b in range(K.dim):
-                row = [f.zero] * d
-                for i in range(d):
-                    acc = f.zero
-                    for (j, kk, c) in ci.get(i, []):
-                        if kk == k:
-                            acc = f.add(acc, f.mul(c, P.rows[b][j]))
-                    if i == k:
-                        acc = f.sub(acc, unit_K[b])
-                    row[i] = acc
-                rows.append(row)
-    else:
+    return coinvariant_space(H.field, H.dim, H.basis_comul, pi, side)
+
+
+def coinvariant_space(field, dim, basis_comul, pi: HopfMorphism, side: str) -> Subspace:
+    """Coinvariants of the coproduct listed by basis_comul (as in
+    antipode_failure) under pi.  The equation for the coordinate pair
+    (j, b), j the kept leg and b the pi leg, is row j * dim K + b; the
+    coproduct entries are walked once."""
+    if side not in ("right", "left"):
         raise UsageError("side must be 'right' or 'left'")
-    return Subspace(f, d, Matrix(f, rows).nullspace())
+    f = field
+    P = pi.matrix
+    unit_K = pi.target.unit
+    kd = len(unit_K)
+    rows = [[f.zero] * dim for _ in range(dim * kd)]
+    for i in range(dim):
+        for (j, k, c) in basis_comul(i):
+            kept, pushed = (j, k) if side == "right" else (k, j)
+            for b in range(kd):
+                p = P.rows[b][pushed]
+                if not f.is_zero(p):
+                    row = rows[kept * kd + b]
+                    row[i] = f.add(row[i], f.mul(c, p))
+        for b in range(kd):
+            row = rows[i * kd + b]
+            row[i] = f.sub(row[i], unit_K[b])
+    return Subspace(f, dim, Matrix(f, rows).nullspace())
 
 
 def is_normal_left_coideal_subalgebra(H: HopfAlgebra, L: Subspace) -> Report:

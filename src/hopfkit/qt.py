@@ -21,7 +21,11 @@ from .hopf import (
     HopfMorphism,
     _put,
     antipode_failure,
+    coassociativity_failure,
+    coinvariant_space,
+    comul_image,
     comul_leg,
+    counit_failure,
     solve_antipode,
     sparse_columns,
     t3_embed,
@@ -176,11 +180,14 @@ class TensorSquareElement:
 def antipode_leg_candidates(H: HopfAlgebra, R: TensorSquareElement):
     """Inverse candidates for an R-matrix, made lazily: (S (x) id)(R), which
     is the inverse of every R-matrix, and only when that fails
-    (id (x) S^-1)(R), the one candidate that needs S inverted."""
-    if H.antipode is None:
+    (id (x) S^-1)(R), the one candidate that needs S inverted.  An
+    antipode not yet determined is not solved for: the candidates only
+    save the regular-representation solve, which is cheaper."""
+    S = H.antipode if H.antipode_source else None
+    if S is None:
         return
-    yield R.map_legs(H.antipode, None)
-    sinv = H.antipode.inverse()
+    yield R.map_legs(S, None)
+    sinv = S.inverse()
     if sinv is not None:
         yield R.map_legs(None, sinv)
 
@@ -399,6 +406,8 @@ def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
         twisted = tt_mul(H, tt_mul(H, J.coeffs, delta), Jinv.coeffs)
         for (j, k), v in sorted(twisted.items()):
             comul.set(i, j, k, v)
+    # the twisted bialgebra; its antipode is decided below and given to HJ
+    bialgebra = HopfAlgebra(H.algebra, comul, list(H.counit), None, list(H.names))
     antipode = None
     if H.antipode is not None:
         s_columns = sparse_columns(H.antipode)
@@ -411,12 +420,11 @@ def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
         if uinv is not None:
             Ru_inv = H.algebra.right_mult_matrix(uinv)
             cand = Lu @ Ru_inv @ H.antipode
-            HJ_test = HopfAlgebra(H.algebra, comul, list(H.counit), cand, list(H.names))
-            if _antipode_ok(HJ_test, cand):
+            if _antipode_ok(bialgebra, cand):
                 antipode = cand
-    HJ = HopfAlgebra(H.algebra, comul, list(H.counit), antipode, list(H.names))
     if antipode is None:
-        HJ.antipode = solve_antipode(HJ)
+        antipode = solve_antipode(bialgebra)
+    HJ = HopfAlgebra(H.algebra, comul, list(H.counit), antipode, list(H.names))
     RJ = None
     if R is not None:
         RJ = TensorSquareElement(HJ, tt_mul(H, tt_mul(H, tt_flip(J.coeffs), R.coeffs), Jinv.coeffs))
@@ -506,7 +514,6 @@ def double_hopf(K: HopfAlgebra) -> HopfAlgebra:
     counit = [f.mul(K.unit[a], K.counit[h]) for a in range(n) for h in range(n)]
     names = [f"{K.names[a]}*@{K.names[h]}" for a in range(n) for h in range(n)]
     alg = AlgebraPresentation(f, d, mul, unit, names)
-    D = HopfAlgebra(alg, comul, counit, None, names)
 
     # antipode: S(f (x) h) = (eps (x) S(h)) * (f o S^-1 (x) 1)
     S = Matrix.zeros(f, d, d)
@@ -524,8 +531,7 @@ def double_hopf(K: HopfAlgebra) -> HopfAlgebra:
             col = alg.product(e1, e2)
             for t in range(d):
                 S.rows[t][a * n + h] = col[t]
-    D.antipode = S
-    return D
+    return HopfAlgebra(alg, comul, counit, S, names)
 
 
 def canonical_double_r(D: HopfAlgebra, n: int, counit, unit) -> TensorSquareElement:
@@ -648,15 +654,10 @@ class BraidedHopfData:
     report: Report = dc_field(default=None)
 
     def braided_comul_of(self, vec) -> dict:
-        f = self.hopf.field
-        out = {}
-        idx = self.braided_comul.first_index()
-        for i, a in enumerate(vec):
-            if f.is_zero(a):
-                continue
-            for (j, k, c) in idx.get(i, []):
-                _put(f, out, (j, k), f.mul(a, c))
-        return out
+        return comul_image(self.braided_comul, vec)
+
+    def basis_braided_comul(self, i):
+        return self.braided_comul.first_index().get(i, [])
 
 
 def adjoint_action_matrices(H: HopfAlgebra):
@@ -758,31 +759,11 @@ def _verify_braided(data: BraidedHopfData) -> Report:
     rep = Report()
     idx = data.braided_comul.first_index()
 
-    ok, wit = True, None
-    for i in range(d):
-        left = [f.zero] * d
-        right = [f.zero] * d
-        for (j, k, c) in idx.get(i, []):
-            left[k] = f.add(left[k], f.mul(c, H.counit[j]))
-            right[j] = f.add(right[j], f.mul(c, H.counit[k]))
-        e_i = unit_vector(f, d, i)
-        if left != e_i or right != e_i:
-            ok, wit = False, {"basis": H.names[i]}
-            break
-    rep.add("braided counit law", ok, wit)
-
-    ok, wit = True, None
-    for i in range(d):
-        lhs, rhs = {}, {}
-        for (j, k, c) in idx.get(i, []):
-            for (p, q, c2) in idx.get(j, []):
-                _put(f, lhs, (p, q, k), f.mul(c, c2))
-            for (p, q, c2) in idx.get(k, []):
-                _put(f, rhs, (j, p, q), f.mul(c, c2))
-        if lhs != rhs:
-            ok, wit = False, {"basis": H.names[i]}
-            break
-    rep.add("braided coassociativity", ok, wit)
+    bad = counit_failure(f, data.basis_braided_comul, H.counit)
+    rep.add("braided counit law", bad is None, None if bad is None else {"basis": H.names[bad]})
+    bad = coassociativity_failure(f, d, data.basis_braided_comul)
+    rep.add("braided coassociativity", bad is None,
+            None if bad is None else {"basis": H.names[bad]})
 
     rep.add("braided coproduct of the unit",
             data.braided_comul_of(H.unit) == tt_unit(H))
@@ -806,7 +787,7 @@ def _verify_braided(data: BraidedHopfData) -> Report:
             break
     rep.add("braided coproduct is multiplicative for the braiding", ok, wit)
 
-    bad = antipode_failure(H.algebra, lambda i: idx.get(i, []), H.counit, data.braided_antipode)
+    bad = antipode_failure(H.algebra, data.basis_braided_comul, H.counit, data.braided_antipode)
     rep.add("braided antipode is the braided convolution inverse", bad is None,
             None if bad is None else {"basis": H.names[bad]})
     return rep
@@ -815,25 +796,7 @@ def _verify_braided(data: BraidedHopfData) -> Report:
 def braided_coinvariants(data: BraidedHopfData, pi: HopfMorphism) -> Subspace:
     """Solutions of (id (x) pi) braided-Delta(h) = h (x) 1."""
     H = data.hopf
-    f = H.field
-    d = H.dim
-    K = pi.target
-    P = pi.matrix
-    idx = data.braided_comul.first_index()
-    rows = []
-    for j in range(d):
-        for b in range(K.dim):
-            row = [f.zero] * d
-            for i in range(d):
-                acc = f.zero
-                for (jj, k, c) in idx.get(i, []):
-                    if jj == j:
-                        acc = f.add(acc, f.mul(c, P.rows[b][k]))
-                if i == j:
-                    acc = f.sub(acc, K.unit[b])
-                row[i] = acc
-            rows.append(row)
-    return Subspace(f, d, Matrix(f, rows).nullspace())
+    return coinvariant_space(H.field, H.dim, data.basis_braided_comul, pi, "right")
 
 
 def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:

@@ -59,7 +59,10 @@ def vector_from_json(field: Field, items):
 
 
 def hopf_to_json(H: HopfAlgebra) -> dict:
+    """The structure constants; an antipode not yet determined is written
+    as null and is not solved for here, so a hash never starts a solve."""
     f = H.field
+    S = H.antipode if H.antipode_source else None
     return {
         "dim": H.dim,
         "names": list(H.names),
@@ -67,7 +70,7 @@ def hopf_to_json(H: HopfAlgebra) -> dict:
         "unit": vector_to_json(f, H.unit),
         "comul": tensor3_to_json(H.comul),
         "counit": vector_to_json(f, H.counit),
-        "antipode": matrix_to_json(H.antipode) if H.antipode is not None else None,
+        "antipode": matrix_to_json(S) if S is not None else None,
     }
 
 
@@ -79,7 +82,9 @@ def hopf_from_json(field: Field, data: dict) -> HopfAlgebra:
     extra = set(data) - required - {"names", "antipode"}
     if extra:
         raise UsageError(f"unknown structure keys {sorted(extra)}")
-    dim = int(data["dim"])
+    dim = data["dim"]
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+        raise UsageError(f"structure dim must be a positive integer, got {dim!r}")
     mul = tensor3_from_json(field, dim, data["mul"])
     unit = vector_from_json(field, data["unit"])
     comul = tensor3_from_json(field, dim, data["comul"])
@@ -88,6 +93,8 @@ def hopf_from_json(field: Field, data: dict) -> HopfAlgebra:
     if data.get("antipode") is not None:
         antipode = matrix_from_json(field, data["antipode"])
     names = data.get("names")
+    if names is not None and not isinstance(names, list):
+        raise UsageError("structure names must be a list")
     alg = AlgebraPresentation(field, dim, mul, unit, names)
     return HopfAlgebra(alg, comul, counit, antipode, names)
 

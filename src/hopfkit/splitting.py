@@ -35,6 +35,7 @@ from .hopf import (
     sparse_columns,
     tensor_hopf,
     tt_apply,
+    tt_outer,
     verify_hopf,
 )
 from .linalg import Matrix, Subspace, unit_vector
@@ -117,17 +118,6 @@ class SplitCertificate:
 
     def dims(self):
         return (self.k1.quotient.dim, self.k2.quotient.dim)
-
-
-def _outer_unit_pair(f, u1, u2):
-    out = {}
-    for i, a in enumerate(u1):
-        if f.is_zero(a):
-            continue
-        for j, b in enumerate(u2):
-            if not f.is_zero(b):
-                _put(f, out, (i, j), f.mul(a, b))
-    return out
 
 
 def _tensor_vector(f, left, right, d2):
@@ -223,7 +213,7 @@ def twisted_tensor_certificate(Q: QTStructure, k1: QuotientData, k2: QuotientDat
     mono = monodromy(Q)
     pushed = tt_apply(f, mono.coeffs, pi1.matrix, pi2.matrix)
     checks.add("(pi1 x pi2)(R21 R) = 1 x 1",
-               pushed == _outer_unit_pair(f, K1.unit, K2.unit))
+               pushed == tt_outer(K1, K1.unit, K2.unit))
 
     r_k1 = Q.R.map_legs(pi1.matrix, pi1.matrix, new_host=K1)
     r_k2 = Q.R.map_legs(pi2.matrix, pi2.matrix, new_host=K2)
@@ -565,7 +555,7 @@ def verify_certificate(cert: SplitCertificate) -> Report:
     mono = monodromy(Q)
     pushed = tt_apply(f, mono.coeffs, pi1.matrix, pi2.matrix)
     rep.add("(pi1 x pi2)(R21 R) = 1 x 1",
-            pushed == _outer_unit_pair(f, cert.k1.quotient.unit, cert.k2.quotient.unit))
+            pushed == tt_outer(cert.k1.quotient, cert.k1.quotient.unit, cert.k2.quotient.unit))
 
     twist = verify_twist(cert.tensor, cert.j.J, inverse_candidates=[cert.j.J_inv])
     rep.add("twist axioms", twist.verified)

@@ -154,3 +154,22 @@ def split_input(h4_r_fullrank, kz2, h4_kz2):
     pi = HopfMorphism(H, h4_alg, P)
     assert pi.verify().ok
     return Q, pi
+
+
+@pytest.fixture
+def solve_count(monkeypatch):
+    """The dims of the algebras solve_antipode runs on, through every
+    module binding of it."""
+    import hopfkit.hopf as hopf_module
+    import hopfkit.qt as qt_module
+
+    calls = []
+    real = hopf_module.solve_antipode
+
+    def counted(H):
+        calls.append(H.dim)
+        return real(H)
+
+    for module in (hopf_module, qt_module):
+        monkeypatch.setattr(module, "solve_antipode", counted)
+    return calls

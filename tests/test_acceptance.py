@@ -39,11 +39,10 @@ from hopfkit.catalog import trivial_hopf
 from hopfkit.checks import Report
 from hopfkit.cli import execute, parse_jobspec
 from hopfkit.fields import CyclotomicField, PrimeField, Rationals
-from hopfkit.hopf import coinvariants, tt_apply
+from hopfkit.hopf import coinvariants, tt_apply, tt_outer
 from hopfkit.linalg import Matrix
 from hopfkit.qt import braided_coinvariants, check_braided_projection
 from hopfkit.report import dumps_stable
-from hopfkit.splitting import _outer_unit_pair
 from hopfkit.tensors import SparseTensor3
 
 QQ = Rationals()
@@ -188,7 +187,7 @@ def test_acceptance_3_fullrank_split():
     mono = monodromy(Q)
     pushed = tt_apply(f, mono.coeffs,
                       cert.k1.projection.matrix, cert.k2.projection.matrix)
-    assert pushed == _outer_unit_pair(f, cert.k1.quotient.unit, cert.k2.quotient.unit)
+    assert pushed == tt_outer(cert.k1.quotient, cert.k1.quotient.unit, cert.k2.quotient.unit)
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     print(f"\nACCEPTANCE 3 (full-rank split): PASS - dims (4, 2), certificate "

@@ -409,3 +409,118 @@ def test_internal_errors_carry_task_name(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--in", str(inp)]) == 3
     err = capsys.readouterr().err
     assert "verify" in err and "synthetic breakage" in err
+
+
+# ----------------------------------------------------------------------
+# the antipode is read, never written, by the tasks
+# ----------------------------------------------------------------------
+
+def _raw(H):
+    """Raw structure constants of H with the antipode left out."""
+    from hopfkit.report import hopf_to_json
+
+    return dict(hopf_to_json(H), antipode=None)
+
+
+def _main_report(tmp_path, verb, doc):
+    inp = tmp_path / "job.json"
+    out = tmp_path / "report.json"
+    inp.write_text(json.dumps(doc))
+    code = main([verb, "--in", str(inp), "--out", str(out)])
+    return code, (json.loads(out.read_text()) if out.exists() else None)
+
+
+def test_task_order_does_not_change_results():
+    from hopfkit.catalog import sweedler
+    from hopfkit.fields import Rationals
+
+    doc = {"field": {"kind": "rationals"}, "object": {"structure": _raw(sweedler(Rationals()))}}
+    first, code1, _ = _run(dict(doc, tasks=["obstruct", "verify"]))
+    second, code2, _ = _run(dict(doc, tasks=["verify", "obstruct"]))
+    assert code1 == code2 == 0
+    assert first["tasks"] == second["tasks"][::-1]
+    assert first["object"]["hash"] == second["object"]["hash"]
+
+
+def test_split_verb_alone_on_raw_structure(tmp_path, split_input):
+    from hopfkit.report import matrix_to_json
+
+    Q, pi = split_input
+    doc = {"field": {"kind": "rationals"},
+           "object": {"structure": _raw(Q.hopf)},
+           "r": Q.R.to_triples(),
+           "pi": {"kind": "matrix", "target": "sweedler", "rows": matrix_to_json(pi.matrix)}}
+    code, report = _main_report(tmp_path, "split", doc)
+    assert code == 0
+    assert report["tasks"][0]["dims"] == {"k1": 4, "k2": 2}
+
+
+def test_builder_verify_reports_the_computed_antipode(solve_count):
+    report, code, _ = _run(dict(TAFT_OBSTRUCT, tasks=["verify"]))
+    assert code == 0
+    checks = {c["name"]: c for c in report["tasks"][0]["checks"]}
+    assert checks["antipode exists"]["witness"] == "computed by convolution inversion"
+    assert solve_count == [9]
+
+
+def test_qt_on_raw_structure_solves_no_antipode(solve_count):
+    from hopfkit import drinfeld_double
+    from hopfkit.catalog import cyclic_group_algebra
+    from hopfkit.fields import Rationals
+
+    Q = drinfeld_double(cyclic_group_algebra(Rationals(), 2))
+    report, code, _ = _run({"field": {"kind": "rationals"},
+                            "object": {"structure": _raw(Q.hopf)},
+                            "tasks": [{"task": "qt", "r": Q.R.to_triples()}]})
+    assert code == 0 and report["tasks"][0]["flags"]["factorizable"]
+    assert solve_count == []
+
+
+def test_canonical_r_builds_one_double(monkeypatch):
+    import hopfkit.qt as qt
+
+    built = []
+    real = qt.double_hopf
+
+    def counted(K):
+        built.append(K.dim)
+        return real(K)
+
+    monkeypatch.setattr(qt, "double_hopf", counted)
+    report, code, _ = _run({"field": {"kind": "rationals"},
+                            "object": {"builder": "double", "of": "Z2"},
+                            "tasks": [{"task": "qt", "r": "canonical"}]})
+    assert code == 0 and report["tasks"][0]["verdict"] == "pass"
+    assert built == [2]
+
+
+# ----------------------------------------------------------------------
+# malformed raw structures are input errors
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("verb", ["verify", "obstruct"])
+@pytest.mark.parametrize("shape", [(3, 3), (4, 5), (5, 4)])
+def test_misshaped_antipode_is_input_error(tmp_path, capsys, verb, shape):
+    from hopfkit.catalog import sweedler
+    from hopfkit.fields import Rationals
+
+    structure = dict(_raw(sweedler(Rationals())),
+                     antipode=[["0"] * shape[1] for _ in range(shape[0])])
+    doc = {"field": {"kind": "rationals"}, "object": {"structure": structure}}
+    assert _main_report(tmp_path, verb, doc)[0] == 2
+    assert "antipode must be 4x4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("dim", "four", "dim must be a positive integer"),
+    ("dim", -4, "dim must be a positive integer"),
+    ("names", ["1", "a", "x"], "3 basis names given for dimension 4"),
+])
+def test_malformed_structure_is_input_error(tmp_path, capsys, key, value, message):
+    from hopfkit.catalog import sweedler
+    from hopfkit.fields import Rationals
+
+    structure = dict(_raw(sweedler(Rationals())), **{key: value})
+    doc = {"field": {"kind": "rationals"}, "object": {"structure": structure}}
+    assert _main_report(tmp_path, "obstruct", doc)[0] == 2
+    assert message in capsys.readouterr().err

@@ -98,6 +98,44 @@ def test_antipode_solver_matches_known_form(h4):
 
 
 # ----------------------------------------------------------------------
+# the antipode property
+# ----------------------------------------------------------------------
+
+def test_antipode_is_solved_once_on_first_read(solve_count):
+    H = sweedler(QQ)
+    assert H.antipode_source is None and solve_count == []
+    S = H.antipode
+    assert H.antipode is S and H.antipode_source == "computed"
+    checks = {c.name: c for c in verify_hopf(H).checks}
+    assert checks["antipode exists"].witness == "computed by convolution inversion"
+    assert solve_count == [4]
+
+
+def test_antipode_cannot_be_assigned():
+    H = sweedler(QQ)
+    with pytest.raises(AttributeError):
+        H.antipode = Matrix.identity(QQ, 4)
+
+
+def test_verify_keeps_a_given_antipode(solve_count):
+    H = cyclic_group_algebra(QQ, 3)
+    checks = {c.name: c for c in verify_hopf(H).checks}
+    assert H.antipode_source == "given"
+    assert checks["antipode exists"].ok and checks["antipode exists"].witness is None
+    assert solve_count == []
+
+
+def test_double_of_an_unverified_algebra(solve_count):
+    from hopfkit import drinfeld_double, taft
+
+    K = taft(PrimeField(7), 3, 2)
+    Q = drinfeld_double(K)
+    assert Q.verified and Q.hopf.dim == 81
+    assert K.antipode_source == "computed" and Q.hopf.antipode_source == "given"
+    assert solve_count == [9]
+
+
+# ----------------------------------------------------------------------
 # duals
 # ----------------------------------------------------------------------
 
