@@ -418,6 +418,15 @@ class CyclotomicField(Field):
         return f"Q(z_{self.n})"
 
 
+def parse_scalar(field: Field, value, entry):
+    """field.parse(value) for a scalar read from JSON, where scalars are
+    always strings; otherwise a UsageError naming the JSON entry that
+    holds the value."""
+    if not isinstance(value, str):
+        raise UsageError(f"scalar {value!r} in entry {entry!r} must be a string")
+    return field.parse(value)
+
+
 def field_from_json(data: dict) -> Field:
     if not isinstance(data, dict) or "kind" not in data:
         raise UsageError(f"bad field description {data!r}")

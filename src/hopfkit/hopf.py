@@ -54,14 +54,13 @@ def tt_unit(H) -> dict:
 
 
 def tt_outer(H, u, v) -> dict:
+    """u (x) v for vectors given dense or as dicts i -> a."""
     f = H.field
     out = {}
-    for i, a in enumerate(u):
-        if f.is_zero(a):
-            continue
-        for j, b in enumerate(v):
-            if not f.is_zero(b):
-                _put(f, out, (i, j), f.mul(a, b))
+    vs = nonzero_terms(f, v)
+    for i, a in nonzero_terms(f, u):
+        for j, b in vs:
+            _put(f, out, (i, j), f.mul(a, b))
     return out
 
 

@@ -2,6 +2,12 @@
 the dual-to-algebra maps, twists, Drinfeld doubles, ribbon candidates,
 and the braided (transmuted) structures.
 
+The Drinfeld double and the braided dual read the dual of K from
+dual_hopf(K); structure constants are contracted through
+AlgebraPresentation.product_terms, and elements of H (x) H are formed
+with tt_apply and tt_outer.  R = sum R^i (x) R_i has R^i on the first
+leg.
+
 Elements of H (x) H are TensorSquareElement values: a sparse coefficient
 grid over the host's flat tensor basis, with exact multiplication and
 inversion inside the algebra H (x) H.  Inversion first tries closed-form
@@ -13,9 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import AlgebraPresentation, dense_vector, same_vector, verify_algebra
+from .algebra import AlgebraPresentation, dense_vector, nonzero_terms, same_vector, verify_algebra
 from .checks import Report
 from .errors import PreconditionError, UsageError
+from .fields import parse_scalar
 from .hopf import (
     HopfAlgebra,
     HopfMorphism,
@@ -26,6 +33,7 @@ from .hopf import (
     comul_image,
     comul_leg,
     counit_failure,
+    dual_hopf,
     solve_antipode,
     sparse_columns,
     t3_embed,
@@ -37,7 +45,7 @@ from .hopf import (
     tt_unit,
     _antipode_ok,
 )
-from .linalg import Matrix, Subspace, unit_vector
+from .linalg import Matrix, Subspace
 from .tensors import SparseTensor3
 
 
@@ -61,11 +69,17 @@ class TensorSquareElement:
     def from_triples(cls, host, triples):
         f = host.field
         d = host.dim
+        if not isinstance(triples, list):
+            raise UsageError(f"tensor {triples!r} must be a list of [i, j, scalar]")
         coeffs = {}
-        for i, j, c in triples:
+        for item in triples:
+            if not (isinstance(item, (list, tuple)) and len(item) == 3
+                    and all(isinstance(x, int) for x in item[:2])):
+                raise UsageError(f"tensor entry {item!r} must be [i, j, scalar]")
+            i, j, c = item
             if not (0 <= i < d and 0 <= j < d):
                 raise UsageError(f"tensor index ({i}, {j}) out of range for dim {d}")
-            val = f.parse(c) if isinstance(c, str) else c
+            val = parse_scalar(f, c, item)
             cur = coeffs.get((i, j), f.zero)
             coeffs[(i, j)] = f.add(cur, val)
         return cls(host, coeffs)
@@ -108,21 +122,6 @@ class TensorSquareElement:
     def map_legs(self, M1, M2, new_host=None):
         host = new_host if new_host is not None else self.host
         return TensorSquareElement(host, tt_apply(self.host.field, self.coeffs, M1, M2))
-
-    def apply_first(self, functional):
-        """(f (x) id) of the element, f given by dual coordinates."""
-        f = self.host.field
-        out = [f.zero] * self.host.dim
-        for (i, j), v in self.coeffs.items():
-            out[j] = f.add(out[j], f.mul(functional[i], v))
-        return out
-
-    def apply_second(self, functional):
-        f = self.host.field
-        out = [f.zero] * self.host.dim
-        for (i, j), v in self.coeffs.items():
-            out[i] = f.add(out[i], f.mul(functional[j], v))
-        return out
 
     def to_matrix(self) -> Matrix:
         f = self.host.field
@@ -439,7 +438,7 @@ def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
 def double_hopf(K: HopfAlgebra) -> HopfAlgebra:
     """The double on (dual of K, coopposite) (x) K with the smash-type
     product f [h_(1) -> g <- S^-1(h_(3))] (x) h_(2) k; basis pair (a, h)
-    sits at flat index a * dim + h."""
+    sits at flat index a * dim + h.  The dual factor is dual_hopf(K)."""
     f = K.field
     n = K.dim
     if K.antipode is None:
@@ -447,91 +446,68 @@ def double_hopf(K: HopfAlgebra) -> HopfAlgebra:
     Sinv = K.antipode.inverse()
     if Sinv is None:
         raise UsageError("the double needs an invertible antipode")
+    Kd = dual_hopf(K)
     d = n * n
-
-    left_mats = [K.algebra.left_mult_matrix(unit_vector(f, n, s)) for s in range(n)]
-    right_mats = [K.algebra.right_mult_matrix(unit_vector(f, n, p)) for p in range(n)]
-
-    # T[p][r] rows b give the functional c -> e^b(S^-1(e_r) e_c e_p)
-    tcache = {}
-
-    def tmat(p, r):
-        key = (p, r)
-        if key not in tcache:
-            acc = Matrix.zeros(f, n, n)
-            col = Sinv.column(r)
-            for s, cv in enumerate(col):
-                if f.is_zero(cv):
-                    continue
-                acc = acc + (left_mats[s] @ right_mats[p]).scale(cv)
-            tcache[key] = acc
-        return tcache[key]
-
-    comul_first = K.comul.first_index()
+    one = f.one
+    product_terms = K.algebra.product_terms
+    dual_terms = Kd.algebra.product_terms
     mul_pairs = K.mul.pair_index()
+    sinv_columns = sparse_columns(Sinv)
+
+    # psi[(p, r)][b] is the functional c -> e^b(S^-1(e_r) e_c e_p), sparse
+    psi = {}
+
+    def functionals(p, r):
+        if (p, r) not in psi:
+            rows = {}
+            for c in range(n):
+                left = nonzero_terms(f, product_terms(sinv_columns[r], [(c, one)]))
+                for b, v in product_terms(left, [(p, one)]).items():
+                    if not f.is_zero(v):
+                        rows.setdefault(b, []).append((c, v))
+            psi[(p, r)] = rows
+        return psi[(p, r)]
+
     mul = SparseTensor3(f, (d, d, d))
-    for a in range(n):
-        for h in range(n):
-            d2 = K.delta_square(h)
+    for h in range(n):
+        d2 = K.delta_square(h)
+        for a in range(n):
             for b in range(n):
+                # sum over Delta^2(h) of (e^a psi) (x) e_q, keyed (c, q)
+                left = {}
+                for (p, q, r), c2 in d2:
+                    fun = dual_terms([(a, c2)], functionals(p, r).get(b, ()))
+                    for c, v in fun.items():
+                        _put(f, left, (c, q), v)
                 for k in range(n):
                     out = {}
-                    for (p, q, r), c2 in d2:
-                        psi = tmat(p, r).row(b)
-                        # e^a * psi in the dual algebra
-                        fun = [f.zero] * n
-                        for c in range(n):
-                            acc = f.zero
-                            for (u, v, cv) in comul_first.get(c, []):
-                                if u == a:
-                                    acc = f.add(acc, f.mul(cv, psi[v]))
-                            if not f.is_zero(acc):
-                                fun[c] = acc
-                        for (w, mv) in mul_pairs.get((q, k), []):
-                            coef = f.mul(c2, mv)
-                            for c in range(n):
-                                if not f.is_zero(fun[c]):
-                                    keyt = c * n + w
-                                    cur = out.get(keyt, f.zero)
-                                    out[keyt] = f.add(cur, f.mul(coef, fun[c]))
-                    for keyt, v in sorted(out.items()):
-                        if not f.is_zero(v):
-                            mul.set(a * n + h, b * n + k, keyt, v)
+                    for (c, q), v in left.items():
+                        for w, mv in mul_pairs.get((q, k), ()):
+                            _put(f, out, c * n + w, f.mul(v, mv))
+                    for t, v in out.items():
+                        mul.set(a * n + h, b * n + k, t, v)
 
     comul = SparseTensor3(f, (d, d, d))
-    mul_out = K.mul.third_index()
     for a in range(n):
-        dual_comul = mul_out.get(a, [])  # (u, v, c): Delta*(e^a) = sum c e^u (x) e^v
-        for h in range(n):
-            for (u, v, c1) in dual_comul:
-                for (p, q, c2) in comul_first.get(h, []):
+        for (u, v, c1) in Kd.basis_comul(a):
+            for h in range(n):
+                for (p, q, c2) in K.basis_comul(h):
                     comul.add_to(a * n + h, v * n + p, u * n + q, f.mul(c1, c2))
 
-    unit = [f.zero] * d
-    for a in range(n):
-        for h in range(n):
-            unit[a * n + h] = f.mul(K.counit[a], K.unit[h])
-    counit = [f.mul(K.unit[a], K.counit[h]) for a in range(n) for h in range(n)]
+    unit = [f.mul(Kd.unit[a], K.unit[h]) for a in range(n) for h in range(n)]
+    counit = [f.mul(Kd.counit[a], K.counit[h]) for a in range(n) for h in range(n)]
     names = [f"{K.names[a]}*@{K.names[h]}" for a in range(n) for h in range(n)]
     alg = AlgebraPresentation(f, d, mul, unit, names)
 
     # antipode: S(f (x) h) = (eps (x) S(h)) * (f o S^-1 (x) 1)
-    S = Matrix.zeros(f, d, d)
+    columns = []
     for a in range(n):
+        second = [(c * n + w, v) for (c, w), v in tt_outer(K, Sinv.rows[a], K.unit).items()]
         for h in range(n):
-            e1 = [f.zero] * d
-            sh = K.antipode.column(h)
-            for c in range(n):
-                for w in range(n):
-                    e1[c * n + w] = f.mul(K.counit[c], sh[w])
-            e2 = [f.zero] * d
-            for c in range(n):
-                for w in range(n):
-                    e2[c * n + w] = f.mul(Sinv.rows[a][c], K.unit[w])
-            col = alg.product(e1, e2)
-            for t in range(d):
-                S.rows[t][a * n + h] = col[t]
-    return HopfAlgebra(alg, comul, counit, S, names)
+            first = tt_outer(K, Kd.unit, K.antipode.column(h))
+            first = [(c * n + w, v) for (c, w), v in first.items()]
+            columns.append(dense_vector(f, d, alg.product_terms(first, second)))
+    return HopfAlgebra(alg, comul, counit, Matrix.from_columns(f, columns), names)
 
 
 def canonical_double_r(D: HopfAlgebra, n: int, counit, unit) -> TensorSquareElement:
@@ -566,20 +542,19 @@ def double_base_projection(DQ: QTStructure, KQ: QTStructure) -> HopfMorphism:
     """The surjection D(K) -> K sending f (x) k to S(r_R(f)) k, where r_R
     pairs the dual leg against the chosen R-matrix on K."""
     K = KQ.hopf
-    D = DQ.hopf
-    f = K.field
-    n = K.dim
-    P = Matrix.zeros(f, n, n * n)
-    for a in range(n):
-        r_fa = KQ.R.apply_second(unit_vector(f, n, a))
-        s_rfa = K.apply_antipode(r_fa)
-        for h in range(n):
-            col = K.algebra.product(s_rfa, unit_vector(f, n, h))
-            for t in range(n):
-                P.rows[t][a * n + h] = col[t]
-    pi = HopfMorphism(D, K, P)
+    r_images = K.antipode @ KQ.R.to_matrix()  # column a is S(r_R(e^a))
+    pi = double_projection(DQ.hopf, K, [r_images.column(a) for a in range(K.dim)])
     pi.verify()
     return pi
+
+
+def double_projection(D: HopfAlgebra, K: HopfAlgebra, images) -> HopfMorphism:
+    """The linear map D(K) -> K sending e^a (x) e_h to images[a] e_h."""
+    f = K.field
+    product_terms = K.algebra.product_terms
+    columns = [dense_vector(f, K.dim, product_terms(nonzero_terms(f, x), [(h, f.one)]))
+               for x in images for h in range(K.dim)]
+    return HopfMorphism(D, K, Matrix.from_columns(f, columns))
 
 
 def componentwise_r(T: HopfAlgebra, r1: TensorSquareElement, r2: TensorSquareElement):
@@ -613,12 +588,10 @@ def ribbon_check(Q: QTStructure, theta) -> Report:
     H = Q.hopf
     f = H.field
     rep = Report()
-    ok = True
-    for j in range(H.dim):
-        e_j = unit_vector(f, H.dim, j)
-        if H.algebra.product(theta, e_j) != H.algebra.product(e_j, theta):
-            ok = False
-            break
+    product_terms = H.algebra.product_terms
+    terms = nonzero_terms(f, theta)
+    ok = all(same_vector(f, product_terms(terms, [(j, f.one)]), product_terms([(j, f.one)], terms))
+             for j in range(H.dim))
     rep.add("central", ok)
     rep.add("counit is one", f.is_one(H.counit_of(theta)))
     if H.antipode is not None:
@@ -653,6 +626,10 @@ class BraidedHopfData:
     action: list
     report: Report = dc_field(default=None)
 
+    def __post_init__(self):
+        # ad_columns[i][t] is ad_{e_i}(e_t) as a sparse operand
+        self.ad_columns = [sparse_columns(M) for M in self.action]
+
     def braided_comul_of(self, vec) -> dict:
         return comul_image(self.braided_comul, vec)
 
@@ -664,46 +641,43 @@ def adjoint_action_matrices(H: HopfAlgebra):
     """ad_{e_i}(v) = e_i_(1) v S(e_i_(2)) as one matrix per basis index."""
     f = H.field
     d = H.dim
+    product_terms = H.algebra.product_terms
+    antipode = sparse_columns(H.antipode)
     out = []
     for i in range(d):
-        M = Matrix.zeros(f, d, d)
-        for (p, q, c) in H.basis_comul(i):
-            sq = H.antipode.column(q)
-            Lp = H.algebra.left_mult_matrix(unit_vector(f, d, p))
-            Rsq = H.algebra.right_mult_matrix(sq)
-            M = M + (Lp @ Rsq).scale(c)
-        out.append(M)
+        columns = []
+        for t in range(d):
+            col = {}
+            for (p, q, c) in H.basis_comul(i):
+                mid = nonzero_terms(f, product_terms([(p, c)], [(t, f.one)]))
+                product_terms(mid, antipode[q], col)
+            columns.append(dense_vector(f, d, col))
+        out.append(Matrix.from_columns(f, columns))
     return out
 
 
 def braided_tensor_product(data: BraidedHopfData, A: dict, B: dict) -> dict:
-    """(u (x) v)(w (x) z) = u ad_{R^i}(w) (x) ad_{R_i}(v) z on the carrier."""
+    """(u (x) v)(w (x) z) = u ad_{R_i}(w) (x) ad_{R^i}(v) z on the carrier."""
     H = data.hopf
     f = H.field
+    product_terms = H.algebra.product_terms
+    ad = data.ad_columns
     out = {}
     for (p, q), a in A.items():
         for (r, s), b in B.items():
             ab = f.mul(a, b)
             for (i, j), rv in data.R.coeffs.items():
-                coef = f.mul(ab, rv)
-                wleft = data.action[j].column(r)
-                left = H.algebra.product(unit_vector(f, H.dim, p), wleft)
-                vright = data.action[i].column(q)
-                right = H.algebra.product(vright, unit_vector(f, H.dim, s))
-                for li, lv in enumerate(left):
-                    if f.is_zero(lv):
-                        continue
-                    clv = f.mul(coef, lv)
-                    for ri, rvv in enumerate(right):
-                        if not f.is_zero(rvv):
-                            _put(f, out, (li, ri), f.mul(clv, rvv))
+                left = product_terms([(p, f.mul(ab, rv))], ad[j][r])
+                right = product_terms(ad[i][q], [(s, f.one)])
+                for key, v in tt_outer(H, left, right).items():
+                    _put(f, out, key, v)
     return out
 
 
 def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
     """The braided (transmuted) structure on the carrier: same algebra,
-    braided coproduct a_(1) S(R^i) (x) ad_{R_i}(a_(2)) and braided
-    antipode R^i S(ad_{R_i}(a)); with pi, the structure is induced on the
+    braided coproduct a_(1) S(R_i) (x) ad_{R^i}(a_(2)) and braided
+    antipode R_i S(ad_{R^i}(a)); with pi, the structure is induced on the
     quotient through the pushed-forward R-matrix."""
     if pi is not None:
         if not pi.verify().ok or not pi.is_surjective():
@@ -717,37 +691,28 @@ def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
     H = Q.hopf
     f = H.field
     d = H.dim
+    product_terms = H.algebra.product_terms
+    antipode = sparse_columns(H.antipode)
     action = adjoint_action_matrices(H)
+    ad = [sparse_columns(M) for M in action]
     bc = SparseTensor3(f, (d, d, d))
     for t in range(d):
         acc = {}
         for (p, q, ct) in H.basis_comul(t):
             for (i, j), rv in Q.R.coeffs.items():
-                coef = f.mul(ct, rv)
-                sj = H.antipode.column(j)
-                left = H.algebra.product(unit_vector(f, d, p), sj)
-                right = action[i].column(q)
-                for li, lv in enumerate(left):
-                    if f.is_zero(lv):
-                        continue
-                    clv = f.mul(coef, lv)
-                    for ri, rvv in enumerate(right):
-                        if not f.is_zero(rvv):
-                            _put(f, acc, (li, ri), f.mul(clv, rvv))
-        for (j, k), v in sorted(acc.items()):
+                left = product_terms([(p, f.mul(ct, rv))], antipode[j])
+                for key, v in tt_outer(H, left, dict(ad[i][q])).items():
+                    _put(f, acc, key, v)
+        for (j, k), v in acc.items():
             bc.set(t, j, k, v)
-    bs = Matrix.zeros(f, d, d)
+    columns = []
     for t in range(d):
-        col = [f.zero] * d
+        col = {}
         for (i, j), rv in Q.R.coeffs.items():
-            ad_t = action[i].column(t)
-            s_ad = H.apply_antipode(ad_t)
-            prod = H.algebra.product(unit_vector(f, d, j), s_ad)
-            for x in range(d):
-                col[x] = f.add(col[x], f.mul(rv, prod[x]))
-        for x in range(d):
-            bs.rows[x][t] = col[x]
-    data = BraidedHopfData(H, Q.R, bc, bs, action)
+            for u, x in ad[i][t]:
+                product_terms([(j, f.mul(rv, x))], antipode[u], col)
+        columns.append(dense_vector(f, d, col))
+    data = BraidedHopfData(H, Q.R, bc, Matrix.from_columns(f, columns), action)
     data.report = _verify_braided(data)
     return data
 
@@ -822,7 +787,7 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
 
     ok, wit = True, None
     for i in range(d):
-        lhs = tt_apply(f, BH.braided_comul_of(unit_vector(f, d, i)), P, P)
+        lhs = tt_apply(f, dict(((j, k), c) for (j, k, c) in BH.basis_braided_comul(i)), P, P)
         rhs = BK.braided_comul_of(P.column(i))
         if lhs != rhs:
             ok, wit = False, {"basis": H.names[i]}
@@ -843,36 +808,25 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
 
     ok, wit = True, None
     idx = BH.braided_comul.first_index()
+    pk = sparse_columns(P)
     for s in range(d):
         for t in range(d):
-            lhs = {}
+            delta_st = {}
             for (k, c) in H.algebra.basis_product(s, t):
                 for (j, q, c2) in idx.get(k, []):
-                    coef = f.mul(c, c2)
-                    for b in range(K.dim):
-                        pv = P.rows[b][q]
-                        if not f.is_zero(pv):
-                            _put(f, lhs, (j, b), f.mul(coef, pv))
+                    _put(f, delta_st, (j, q), f.mul(c, c2))
+            lhs = tt_apply(f, delta_st, None, P)
             rhs = {}
             for (u, v, cs) in idx.get(s, []):
-                pk_v = P.column(v)
                 for (w, z, ct) in idx.get(t, []):
                     coef = f.mul(cs, ct)
-                    pk_z = P.column(z)
-                    # braid c_{K,H}(pi(v) (x) w) = ad_{R^i}(w) (x) ad_{pi(R_i)}(pi(v))
+                    # braid c_{K,H}(pi(v) (x) w) = ad_{R_i}(w) (x) ad_{pi(R^i)}(pi(v))
                     for (ri, rj), rv in Q.R.coeffs.items():
-                        c2 = f.mul(coef, rv)
-                        hmid = BH.action[rj].column(w)
-                        kmid = ad_K_of_H[ri].apply(pk_v)
-                        left = H.algebra.product(unit_vector(f, d, u), hmid)
-                        right = K.algebra.product(kmid, pk_z)
-                        for li, lv in enumerate(left):
-                            if f.is_zero(lv):
-                                continue
-                            clv = f.mul(c2, lv)
-                            for bi, bv in enumerate(right):
-                                if not f.is_zero(bv):
-                                    _put(f, rhs, (li, bi), f.mul(clv, bv))
+                        left = H.algebra.product_terms([(u, f.mul(coef, rv))], BH.ad_columns[rj][w])
+                        kmid = nonzero_terms(f, ad_K_of_H[ri].apply(P.column(v)))
+                        right = K.algebra.product_terms(kmid, pk[z])
+                        for key, x in tt_outer(H, left, right).items():
+                            _put(f, rhs, key, x)
             if lhs != rhs:
                 ok, wit = False, {"pair": (H.names[s], H.names[t])}
                 break
@@ -903,117 +857,67 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
     H = Q.hopf
     f = H.field
     d = H.dim
-    St = H.antipode.transpose()  # antipode of the dual
-    Rm = Q.R.to_matrix()
-    mul_out = H.mul.third_index()
+    one = f.one
+    Hd = dual_hopf(H)
+    dual_terms = Hd.algebra.product_terms
+    dual_antipode = sparse_columns(Hd.antipode)
 
-    def dual_comul(a):
-        return mul_out.get(a, [])  # (u, v, c): Delta*(e^a) = sum c e^u (x) e^v
-
-    def dual_product(u, v):
-        # e^u e^v = sum_c comul[c, u, v] e^c
-        out = [f.zero] * d
-        for c in range(d):
-            val = H.comul.get(c, u, v)
-            if not f.is_zero(val):
-                out[c] = val
-        return out
-
-    def dual_product_vec(x, y):
-        out = [f.zero] * d
-        for u, xa in enumerate(x):
-            if f.is_zero(xa):
-                continue
-            for v, yb in enumerate(y):
-                if f.is_zero(yb):
-                    continue
-                co = f.mul(xa, yb)
-                pv = dual_product(u, v)
-                for c in range(d):
-                    if not f.is_zero(pv[c]):
-                        out[c] = f.add(out[c], f.mul(co, pv[c]))
-        return out
-
-    def pair_r(x, y):
+    def pair_r(x: dict, y: dict):
+        """<x, y>_R = sum R_ij x_i y_j for dual vectors x and y."""
         acc = f.zero
         for (i, j), rv in Q.R.coeffs.items():
-            acc = f.add(acc, f.mul(f.mul(x[i], y[j]), rv))
+            if i in x and j in y:
+                acc = f.add(acc, f.mul(f.mul(x[i], y[j]), rv))
         return acc
-
-    # iterated dual coproducts
-    def dual_delta2(a):
-        out = []
-        for (u, m, c1) in dual_comul(a):
-            for (p, q, c2) in dual_comul(u):
-                out.append((p, q, m, f.mul(c1, c2)))
-        return out
-
-    def dual_delta3(a):
-        out = []
-        for (p, q, m, c) in dual_delta2(a):
-            for (x, y, c2) in dual_comul(p):
-                out.append((x, y, q, m, f.mul(c, c2)))
-        return out
 
     product = SparseTensor3(f, (d, d, d))
     for a in range(d):
+        # S(f_1) f_3 with the coefficient of f_1 (x) f_2 (x) f_3, and f_2
+        lefts = [(q, dual_terms(dual_antipode[p], [(m, c1)]))
+                 for (p, q, m), c1 in Hd.delta_square(a)]
         for b in range(d):
-            acc = [f.zero] * d
-            for (p, q, m, c1) in dual_delta2(a):
-                sp = St.column(p)
-                left = dual_product_vec(sp, unit_vector(f, d, m))
-                for (r, s, c2) in dual_comul(b):
-                    sr = St.column(r)
-                    coef = f.mul(f.mul(c1, c2), pair_r(left, sr))
-                    if f.is_zero(coef):
-                        continue
-                    mid = dual_product(q, s)
-                    for c in range(d):
-                        if not f.is_zero(mid[c]):
-                            acc[c] = f.add(acc[c], f.mul(coef, mid[c]))
-            for c in range(d):
-                if not f.is_zero(acc[c]):
-                    product.set(a, b, c, acc[c])
+            acc = {}
+            for q, left in lefts:
+                for (r, s, c2) in Hd.basis_comul(b):
+                    coef = f.mul(c2, pair_r(left, dict(dual_antipode[r])))
+                    if not f.is_zero(coef):
+                        dual_terms([(q, coef)], [(s, one)], acc)
+            for c, v in acc.items():
+                product.set(a, b, c, v)
 
-    antipode = Matrix.zeros(f, d, d)
+    square = sparse_columns(Hd.antipode @ Hd.antipode)
+    columns = []
     for a in range(d):
-        col = [f.zero] * d
-        for (x, y, q, m, c1) in dual_delta3(a):
-            s2q = St.apply(St.column(q))
-            sx = St.column(x)
-            left = dual_product_vec(s2q, sx)
-            coef = f.mul(c1, pair_r(left, unit_vector(f, d, m)))
-            if f.is_zero(coef):
-                continue
-            sy = St.column(y)
-            for c in range(d):
-                if not f.is_zero(sy[c]):
-                    col[c] = f.add(col[c], f.mul(coef, sy[c]))
-        for c in range(d):
-            antipode.rows[c][a] = col[c]
+        col = {}
+        for (p, q, m), c1 in Hd.delta_square(a):
+            for (x, y, c2) in Hd.basis_comul(p):
+                left = dual_terms(square[q], dual_antipode[x])
+                coef = f.mul(f.mul(c1, c2), pair_r(left, {m: one}))
+                for c, v in dual_antipode[y]:
+                    _put(f, col, c, f.mul(coef, v))
+        columns.append(dense_vector(f, d, col))
+    antipode = Matrix.from_columns(f, columns)
 
     rep = Report()
     dual_alg = AlgebraPresentation(f, d, product, list(H.counit))
     unit_law, associativity = verify_algebra(dual_alg).checks
     rep.add("braided dual product associative", associativity.ok, associativity.witness)
     rep.add("counit functional is the braided unit", unit_law.ok)
-    bad = antipode_failure(dual_alg, dual_comul, H.unit, antipode)
+    bad = antipode_failure(dual_alg, Hd.basis_comul, H.unit, antipode)
     rep.add("braided dual antipode law", bad is None, None if bad is None else {"dual_basis": bad})
 
     # the monodromy pairing map intertwines the braided structures
     bh = transmute(Q)
     phi = phi_maps(Q).phi
+    images = sparse_columns(phi)
     ok, wit = True, None
     for a in range(d):
         for b in range(d):
-            mixed = [f.zero] * d
-            pv = product.pair_index().get((a, b), [])
-            for (c, cv) in pv:
-                img = phi.column(c)
-                for t in range(d):
-                    mixed[t] = f.add(mixed[t], f.mul(cv, img[t]))
-            plain = H.algebra.product(phi.column(a), phi.column(b))
-            if mixed != plain:
+            mixed = {}
+            for (c, cv) in product.pair_index().get((a, b), []):
+                for t, x in images[c]:
+                    _put(f, mixed, t, f.mul(cv, x))
+            if not same_vector(f, mixed, H.algebra.product_terms(images[a], images[b])):
                 ok, wit = False, {"pair": (a, b)}
                 break
         if not ok:
@@ -1024,7 +928,7 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
     for a in range(d):
         lhs = bh.braided_comul_of(phi.column(a))
         rhs = {}
-        for (u, v, c) in dual_comul(a):
+        for (u, v, c) in Hd.basis_comul(a):
             for key, val in tt_outer(H, phi.column(u), phi.column(v)).items():
                 _put(f, rhs, key, f.mul(c, val))
         if lhs != rhs:

@@ -14,7 +14,7 @@ import json
 from .algebra import AlgebraPresentation
 from .checks import Report
 from .errors import UsageError
-from .fields import Field, field_from_json
+from .fields import Field, field_from_json, parse_scalar
 from .hopf import HopfAlgebra, HopfMorphism, QuotientData, tensor_hopf
 from .linalg import Matrix, Subspace
 from .qt import QTStructure, TensorSquareElement, Twist
@@ -32,7 +32,10 @@ def matrix_to_json(M: Matrix):
 
 
 def matrix_from_json(field: Field, rows) -> Matrix:
-    return Matrix(field, [[field.parse(v) for v in row] for row in rows])
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise UsageError(f"matrix {rows!r} must be a list of rows")
+    return Matrix(field, [[parse_scalar(field, v, row) for v in row]
+                          for row in rows])
 
 
 def tensor3_to_json(T: SparseTensor3):
@@ -41,12 +44,17 @@ def tensor3_to_json(T: SparseTensor3):
 
 
 def tensor3_from_json(field: Field, dim: int, triples) -> SparseTensor3:
+    if not isinstance(triples, list):
+        raise UsageError(f"structure constants {triples!r} must be a list of [i, j, k, scalar]")
     out = SparseTensor3(field, (dim, dim, dim))
     for item in triples:
-        if len(item) != 4:
+        if not isinstance(item, (list, tuple)) or len(item) != 4:
             raise UsageError(f"structure constant entry {item!r} must be [i, j, k, scalar]")
-        i, j, k, c = item
-        out.add_to(int(i), int(j), int(k), field.parse(c))
+        try:
+            i, j, k = int(item[0]), int(item[1]), int(item[2])
+        except (TypeError, ValueError):
+            raise UsageError(f"structure constant entry {item!r} has a non-integer index") from None
+        out.add_to(i, j, k, parse_scalar(field, item[3], item))
     return out
 
 
@@ -55,7 +63,9 @@ def vector_to_json(field: Field, v):
 
 
 def vector_from_json(field: Field, items):
-    return [field.parse(x) for x in items]
+    if not isinstance(items, list):
+        raise UsageError(f"vector {items!r} must be a list of scalars")
+    return [parse_scalar(field, x, items) for x in items]
 
 
 def hopf_to_json(H: HopfAlgebra) -> dict:

@@ -35,6 +35,7 @@ from .hopf import (
     sparse_columns,
     tensor_hopf,
     tt_apply,
+    tt_flip,
     tt_outer,
     verify_hopf,
 )
@@ -46,6 +47,7 @@ from .qt import (
     apply_twist,
     componentwise_r,
     double_base_projection,
+    double_projection,
     drinfeld_double,
     lr_maps,
     monodromy,
@@ -120,49 +122,35 @@ class SplitCertificate:
         return (self.k1.quotient.dim, self.k2.quotient.dim)
 
 
-def _tensor_vector(f, left, right, d2):
-    out = [f.zero] * (len(left) * d2)
-    for i, a in enumerate(left):
-        if f.is_zero(a):
-            continue
-        for j, b in enumerate(right):
-            if not f.is_zero(b):
-                out[i * d2 + j] = f.mul(a, b)
+def _on_middle_legs(T: HopfAlgebra, K1: HopfAlgebra, K2: HopfAlgebra, A: dict) -> dict:
+    """Each x (x) y of A in K2 (x) K1 as (1 (x) x) (x) (y (x) 1) in T (x) T,
+    T = K1 (x) K2 in its flat basis."""
+    f = T.field
+    d2 = K2.dim
+    units = tt_outer(T, K1.unit, K2.unit)
+    out = {}
+    for (x, y), v in A.items():
+        for (a, b), u in units.items():
+            _put(f, out, (a * d2 + x, y * d2 + b), f.mul(v, u))
     return out
 
 
 def theorem_twist(T: HopfAlgebra, Q: QTStructure, pi1: HopfMorphism, pi2: HopfMorphism) -> Twist:
-    """J = sum (1 (x) pi2(S(R_i))) (x) (pi1(R^i) (x) 1) on K1 (x) K2,
-    with the closed-form inverse candidate sum (1 (x) pi2(R_i)) (x)
-    (pi1(R^i) (x) 1) confirmed by multiplication."""
-    H = Q.hopf
-    f = H.field
+    """J = J_23 = (pi2 (x) pi1)(R^-1) on the middle legs of T (x) T,
+    T = K1 (x) K2, that is sum (1 (x) pi2(S(R^i))) (x) (pi1(R_i) (x) 1)
+    for R = sum R^i (x) R_i.  The closed-form inverse candidate
+    (pi2 (x) pi1)(R), on the same legs, is confirmed by multiplication.
+
+    On the double of a non-commutative K this J fails the 2-cocycle
+    identity: the open fault on D(D(H4)) recorded in ROADMAP.md."""
+    if Q.R_inv is None:
+        raise PreconditionError("theorem_twist needs the inverse of R")
+    f = T.field
     K1, K2 = pi1.target, pi2.target
-    d2 = K2.dim
-    u1 = K1.unit
-    u2 = K2.unit
-    jc = {}
-    jc_inv = {}
-    for (i, j), v in Q.R.coeffs.items():
-        s_ei = H.apply_antipode(unit_vector(f, H.dim, i))
-        left = _tensor_vector(f, u1, pi2.matrix.apply(s_ei), d2)
-        left_inv = _tensor_vector(f, u1, pi2.matrix.column(i), d2)
-        right = _tensor_vector(f, pi1.matrix.column(j), u2, d2)
-        for a, av in enumerate(left):
-            if f.is_zero(av):
-                continue
-            for b, bv in enumerate(right):
-                if not f.is_zero(bv):
-                    _put(f, jc, (a, b), f.mul(v, f.mul(av, bv)))
-        for a, av in enumerate(left_inv):
-            if f.is_zero(av):
-                continue
-            for b, bv in enumerate(right):
-                if not f.is_zero(bv):
-                    _put(f, jc_inv, (a, b), f.mul(v, f.mul(av, bv)))
-    J = TensorSquareElement(T, jc)
-    cand = TensorSquareElement(T, jc_inv)
-    return verify_twist(T, J, inverse_candidates=[cand])
+    J = _on_middle_legs(T, K1, K2, tt_apply(f, Q.R_inv.coeffs, pi2.matrix, pi1.matrix))
+    cand = _on_middle_legs(T, K1, K2, tt_apply(f, Q.R.coeffs, pi2.matrix, pi1.matrix))
+    return verify_twist(T, TensorSquareElement(T, J),
+                        inverse_candidates=[TensorSquareElement(T, cand)])
 
 
 def comparison_map(H: HopfAlgebra, target: HopfAlgebra, pi1: HopfMorphism, pi2: HopfMorphism) -> Matrix:
@@ -172,10 +160,9 @@ def comparison_map(H: HopfAlgebra, target: HopfAlgebra, pi1: HopfMorphism, pi2: 
     cols = []
     for t in range(H.dim):
         col = [f.zero] * target.dim
-        for (p, q, c) in H.basis_comul(t):
-            vec = _tensor_vector(f, pi1.matrix.column(p), pi2.matrix.column(q), d2)
-            for x, v in enumerate(vec):
-                col[x] = f.add(col[x], f.mul(c, v))
+        delta = dict(((j, k), c) for (j, k, c) in H.basis_comul(t))
+        for (x, y), v in tt_apply(f, delta, pi1.matrix, pi2.matrix).items():
+            col[x * d2 + y] = v
         cols.append(col)
     return Matrix.from_columns(f, cols)
 
@@ -335,49 +322,34 @@ def split_via_fullrank(Q: QTStructure, pi: HopfMorphism) -> SplitCertificate:
 
 def double_splitting(KQ: QTStructure) -> SplitCertificate:
     """For factorizable (K, R): certify that the double of K is a twisted
-    tensor square of K with the literal twist
-    J = sum (1 (x) R^i) (x) (R_i (x) 1).
+    tensor square of K.
 
     twisted_tensor_certificate runs on two projections of the double onto
     K, the first sending f (x) k to S(r_R(f)) k and the second to
     l_R(f) k.  Two checks follow its own: the second projection carries
     the canonical double R-matrix to R itself, and the twist of the
-    construction coincides with the literal J.
+    construction coincides with the literal J.  For R = sum R^i (x) R_i
+    the code's literal J is sum (1 (x) R_i) (x) (R^i (x) 1) = (R_21)_23 on
+    the middle legs of (K (x) K) (x) (K (x) K); its check keeps the name
+    "... sum (1 x R^i) x (R_i x 1)" so that reports keep their bytes.  On
+    a non-commutative K this J fails the 2-cocycle identity (the open
+    fault on D(D(H4)) recorded in ROADMAP.md).
     """
     _require_qt(KQ)
     if not KQ.factorizable:
         raise PreconditionError("double_splitting needs a factorizable input")
     K = KQ.hopf
-    f = K.field
-    n = K.dim
     DQ = drinfeld_double(K)
 
     pi1 = double_base_projection(DQ, KQ)  # f (x) k -> S(r_R(f)) k
-    P2 = Matrix.zeros(f, n, n * n)
-    for a in range(n):
-        l_fa = KQ.R.apply_first(unit_vector(f, n, a))
-        for h in range(n):
-            col = K.algebra.product(l_fa, unit_vector(f, n, h))
-            for t in range(n):
-                P2.rows[t][a * n + h] = col[t]
-    pi2 = HopfMorphism(DQ.hopf, K, P2)
+    pi2 = double_projection(DQ.hopf, K, KQ.R.to_matrix().rows)  # f (x) k -> l_R(f) k
     cert = twisted_tensor_certificate(DQ, _quotient_data_from_projection(pi1),
                                       _quotient_data_from_projection(pi2), Report())
     cert.checks.add("second factor carries the original R-matrix", cert.r_k2 == KQ.R)
 
-    u = K.unit
-    jc = {}
-    for (i, j), v in KQ.R.coeffs.items():
-        left = _tensor_vector(f, u, unit_vector(f, n, j), n)
-        right = _tensor_vector(f, unit_vector(f, n, i), u, n)
-        for a, av in enumerate(left):
-            if f.is_zero(av):
-                continue
-            for b, bv in enumerate(right):
-                if not f.is_zero(bv):
-                    _put(f, jc, (a, b), f.mul(v, f.mul(av, bv)))
+    literal = _on_middle_legs(cert.tensor, K, K, tt_flip(KQ.R.coeffs))
     cert.checks.add("the twist equals the literal form sum (1 x R^i) x (R_i x 1)",
-                    cert.j.J == TensorSquareElement(cert.tensor, jc))
+                    cert.j.J == TensorSquareElement(cert.tensor, literal))
     return cert
 
 

@@ -315,6 +315,9 @@ def is_invertible_tt(raw, coeffs):
     return rank(p, rows) == d * d
 
 
+_RMATRIX_CACHE = {}
+
+
 def brute_force_rmatrices(raw, enumeration_bound=100000, require_invertible=True):
     """All R-matrices in the searched space: the affine linear-solution
     space, fully enumerated over GF(p) when p^m stays under the bound,
@@ -323,7 +326,20 @@ def brute_force_rmatrices(raw, enumeration_bound=100000, require_invertible=True
     Returns (list of coefficient dicts, exhaustive flag).  Exhaustive
     means the full linear space was enumerated, so an empty list proves
     there is no R-matrix at all.
+
+    The search is run once per session for each structure and pair of
+    parameters; every call gets its own copies of the found dicts.
     """
+    key = (raw["p"], raw["dim"], tuple(sorted(raw["mul"].items())), tuple(raw["unit"]),
+           tuple(sorted(raw["comul"].items())), tuple(raw["counit"]),
+           enumeration_bound, require_invertible)
+    if key not in _RMATRIX_CACHE:
+        _RMATRIX_CACHE[key] = _search_rmatrices(raw, enumeration_bound, require_invertible)
+    found, exhaustive = _RMATRIX_CACHE[key]
+    return [dict(c) for c in found], exhaustive
+
+
+def _search_rmatrices(raw, enumeration_bound, require_invertible):
     p = raw["p"]
     d = raw["dim"]
     particular, basis = rmatrix_linear_space(raw)

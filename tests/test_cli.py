@@ -524,3 +524,38 @@ def test_malformed_structure_is_input_error(tmp_path, capsys, key, value, messag
     doc = {"field": {"kind": "rationals"}, "object": {"structure": structure}}
     assert _main_report(tmp_path, "obstruct", doc)[0] == 2
     assert message in capsys.readouterr().err
+
+
+def _sweedler_structure(**changes):
+    from hopfkit.catalog import sweedler
+    from hopfkit.fields import Rationals
+
+    return {"field": {"kind": "rationals"},
+            "object": {"structure": dict(_raw(sweedler(Rationals())), **changes)}}
+
+
+def _first_mul_entry(entry):
+    structure = _sweedler_structure()["object"]["structure"]
+    return _sweedler_structure(mul=[entry] + structure["mul"][1:])
+
+
+def _qt_on_z3(triples):
+    return {"field": {"kind": "cyclotomic", "n": 3}, "object": "Z3",
+            "tasks": [{"task": "qt", "r": triples}]}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("obstruct", _sweedler_structure(mul=5), "structure constants 5"),
+    ("obstruct", _sweedler_structure(unit=3), "vector 3"),
+    ("obstruct", _sweedler_structure(antipode=7), "matrix 7"),
+    ("obstruct", _first_mul_entry(["a", 0, 0, "1"]), "entry ['a', 0, 0, '1']"),
+    ("obstruct", _first_mul_entry([0, 0, 0, 1]), "entry [0, 0, 0, 1]"),
+    ("obstruct", _sweedler_structure(unit=[[1]]), "entry [[1]]"),
+    ("qt", _qt_on_z3([[0, 0]]), "entry [0, 0]"),
+    ("qt", _qt_on_z3([[0, "a", "1"]]), "entry [0, 'a', '1']"),
+    ("qt", _qt_on_z3([[0, 0, 1]]), "entry [0, 0, 1]"),
+], ids=["mul-5", "unit-3", "antipode-7", "mul-index-a", "mul-scalar-1", "unit-nested",
+        "r-pair", "r-index-a", "r-scalar-1"])
+def test_malformed_constants_are_input_errors(tmp_path, capsys, verb, doc, message):
+    assert _main_report(tmp_path, verb, doc)[0] == 2
+    assert message in capsys.readouterr().err
