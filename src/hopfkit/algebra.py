@@ -15,7 +15,7 @@ from . import gfpoly
 from .checks import Report
 from .errors import UsageError
 from .fields import CyclotomicField, PrimeField, Rationals
-from .linalg import Matrix, Subspace, unit_vector, vec_add, vec_is_zero, vec_scale
+from .linalg import Matrix, Subspace, unit_vector, vec_is_zero
 from .tensors import SparseTensor3
 
 
@@ -165,16 +165,15 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
 
 
 def center(A: AlgebraPresentation) -> Subspace:
-    """Solutions of [x, e_j] = 0 for every basis e_j, canonical RREF."""
+    """Solutions of [x, e_j] = 0 for every basis e_j, canonical RREF:
+    row j * d + k, column i of the system is mul[i,j,k] - mul[j,i,k]."""
     f = A.field
     d = A.dim
-    rows = []
-    for j in range(d):
-        e_j = unit_vector(f, d, j)
-        L = A.left_mult_matrix(e_j)   # x -> e_j x
-        R = A.right_mult_matrix(e_j)  # x -> x e_j
-        diff = R - L
-        rows.extend(diff.rows)
+    rows = [[f.zero] * d for _ in range(d * d)]
+    for (i, j), terms in A.mul.pair_index().items():
+        for k, c in terms:
+            rows[j * d + k][i] = f.add(rows[j * d + k][i], c)
+            rows[i * d + k][j] = f.sub(rows[i * d + k][j], c)
     return Subspace(f, d, Matrix(f, rows).nullspace())
 
 
@@ -473,15 +472,10 @@ def characters(A: AlgebraPresentation, supplied=None) -> CharacterList:
             if W.dim == 0:
                 continue
             # restrict Mt to W: solve coordinates in the W basis
-            basis_cols = Matrix(f, W.vectors()).transpose()
-            img_cols = []
-            for v in W.vectors():
-                img = Mt.apply(v)
-                coord = basis_cols.solve(img)
-                if coord is None:
-                    raise AssertionError("piece not invariant (unreachable)")
-                img_cols.append(coord)
-            Aw = Matrix.from_columns(f, img_cols)
+            basis_cols = W.basis.transpose()
+            Aw = basis_cols.solve_matrix(Mt @ basis_cols)
+            if Aw is None:
+                raise AssertionError("piece not invariant (unreachable)")
             mp = minimal_polynomial(Aw)
             roots, cof, certified = field_roots(f, mp)
             if len(cof) > 1:
@@ -493,12 +487,7 @@ def characters(A: AlgebraPresentation, supplied=None) -> CharacterList:
                 shifted = Aw - Matrix.identity(f, W.dim).scale(lam)
                 powered = _matrix_power(shifted, W.dim)
                 kern = powered.nullspace()
-                vecs = []
-                for co in kern:
-                    combo = [f.zero] * B.dim
-                    for c, bv in zip(co, W.vectors()):
-                        combo = vec_add(f, combo, vec_scale(f, c, bv))
-                    vecs.append(combo)
+                vecs = (Matrix(f, kern) @ W.basis).rows if kern else []
                 piece = Subspace(f, B.dim, vecs)
                 if piece.dim:
                     new_pieces.append(piece)

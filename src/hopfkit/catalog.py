@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraPresentation
 from .errors import BuilderError, UsageError
-from .fields import Field
+from .fields import Field, parse_int, parse_scalar
 from .hopf import HopfAlgebra, dual_hopf, tensor_hopf, verify_hopf
 from .linalg import Matrix
 from .tensors import SparseTensor3
@@ -24,6 +24,8 @@ def group_algebra(field: Field, table, names=None) -> HopfAlgebra:
     counit one, antipode permutes to inverses.
     """
     n = len(table)
+    if n == 0:
+        raise BuilderError("Cayley table is empty")
     for row in table:
         if len(row) != n or any(not (0 <= x < n) for x in row):
             raise BuilderError("Cayley table is not square with valid indices")
@@ -217,6 +219,18 @@ def build_catalog(field: Field, spec) -> HopfAlgebra:
     return H
 
 
+def _arg(spec, key, integer=False):
+    """The value of ``key`` in a builder expression, an int when
+    ``integer``; a missing key or a non-integer is an error naming the
+    builder and the key."""
+    builder = spec["builder"]
+    if key not in spec:
+        raise BuilderError(f"builder {builder!r} needs key {key!r}")
+    if integer:
+        return parse_int(spec[key], f"key {key!r} of builder {builder!r}")
+    return spec[key]
+
+
 def _build(field: Field, spec) -> HopfAlgebra:
     if isinstance(spec, str):
         if spec in _NAMED_GROUPS:
@@ -234,41 +248,43 @@ def _build(field: Field, spec) -> HopfAlgebra:
     if kind == "group_algebra":
         if "group" in spec:
             name = spec["group"]
-            if name not in _NAMED_GROUPS:
+            if not isinstance(name, str) or name not in _NAMED_GROUPS:
                 raise BuilderError(f"unknown named group {name!r}")
             return _NAMED_GROUPS[name](field)
         if "table" not in spec:
             raise BuilderError("group_algebra needs 'table' or 'group'")
-        return group_algebra(field, spec["table"])
+        table = spec["table"]
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise BuilderError(f"key 'table' of builder 'group_algebra' must be a list of rows, "
+                               f"got {table!r}")
+        return group_algebra(field, [[parse_int(x, f"Cayley table entry {x!r}") for x in row]
+                                     for row in table])
     if kind == "cyclic":
-        return cyclic_group_algebra(field, int(spec["n"]))
+        return cyclic_group_algebra(field, _arg(spec, "n", integer=True))
     if kind == "symmetric":
-        return symmetric_group_algebra(field, int(spec["n"]))
+        return symmetric_group_algebra(field, _arg(spec, "n", integer=True))
     if kind == "sweedler":
         return sweedler(field)
     if kind == "trivial":
         return trivial_hopf(field)
     if kind == "taft":
-        if "p" not in spec or "omega" not in spec:
-            raise BuilderError("taft needs 'p' and 'omega'")
-        return taft(field, int(spec["p"]), spec["omega"])
+        return taft(field, _arg(spec, "p", integer=True), _arg(spec, "omega"))
     if kind == "dual":
-        inner = build_catalog(field, spec["of"])
-        return dual_hopf(inner)
+        return dual_hopf(build_catalog(field, _arg(spec, "of")))
     if kind == "tensor":
-        left = build_catalog(field, spec["left"])
-        right = build_catalog(field, spec["right"])
+        left = build_catalog(field, _arg(spec, "left"))
+        right = build_catalog(field, _arg(spec, "right"))
         return tensor_hopf(left, right)
     if kind == "double":
         from .qt import drinfeld_double
 
-        inner = build_catalog(field, spec["of"])
+        inner = build_catalog(field, _arg(spec, "of"))
         return drinfeld_double(inner).hopf
     if kind == "twist":
         from .qt import TensorSquareElement, apply_twist, verify_twist
 
-        inner = build_catalog(field, spec["of"])
-        j_elem = TensorSquareElement.from_triples(inner, spec["j"])
+        inner = build_catalog(field, _arg(spec, "of"))
+        j_elem = TensorSquareElement.from_triples(inner, _arg(spec, "j"))
         twist = verify_twist(inner, j_elem)
         if not twist.verified:
             raise BuilderError("the supplied twist failed verification")
@@ -278,8 +294,13 @@ def _build(field: Field, spec) -> HopfAlgebra:
         from .hopf import quotient_by_coideal
         from .linalg import Subspace
 
-        inner = build_catalog(field, spec["of"])
-        vectors = [[field.parse(c) for c in row] for row in spec["coideal"]]
+        inner = build_catalog(field, _arg(spec, "of"))
+        rows = _arg(spec, "coideal")
+        if not isinstance(rows, list) or not all(
+                isinstance(row, list) and len(row) == inner.dim for row in rows):
+            raise BuilderError(f"key 'coideal' of builder 'quotient' must be a list of "
+                               f"vectors of length {inner.dim}, got {rows!r}")
+        vectors = [[parse_scalar(field, c, row) for c in row] for row in rows]
         L = Subspace(field, inner.dim, vectors)
         return quotient_by_coideal(inner, L).quotient
     raise BuilderError(f"unhandled builder {kind!r}")

@@ -159,7 +159,9 @@ def resolve_object(field: Field, spec) -> _ObjectContext:
             raise UsageError(f"unknown object keys {sorted(extra)}")
         H = hopf_from_json(field, spec["structure"])
         return _ObjectContext(H)
-    ctx = _ObjectContext(None)
+    # the whole expression first, so that its keys are checked before
+    # the factors are read
+    ctx = _ObjectContext(build_catalog(field, spec))
     if isinstance(spec, dict):
         if spec.get("builder") == "tensor":
             left = build_catalog(field, spec["left"])
@@ -167,7 +169,6 @@ def resolve_object(field: Field, spec) -> _ObjectContext:
             ctx.tensor_factors = (left, right)
         if spec.get("builder") == "double":
             ctx.double_of = build_catalog(field, spec["of"])
-    ctx.hopf = build_catalog(field, spec)
     return ctx
 
 
@@ -421,9 +422,9 @@ def _parse_field_flag(text: str) -> Field:
     if text == "rationals":
         return field_from_json({"kind": "rationals"})
     if text.startswith("gfp:"):
-        return field_from_json({"kind": "gfp", "p": int(text.split(":", 1)[1])})
+        return field_from_json({"kind": "gfp", "p": text.split(":", 1)[1]})
     if text.startswith("cyclotomic:"):
-        return field_from_json({"kind": "cyclotomic", "n": int(text.split(":", 1)[1])})
+        return field_from_json({"kind": "cyclotomic", "n": text.split(":", 1)[1]})
     raise UsageError(
         f"bad --field {text!r}; use rationals, gfp:<p>, or cyclotomic:<n>"
     )

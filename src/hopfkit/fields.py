@@ -427,6 +427,19 @@ def parse_scalar(field: Field, value, entry):
     return field.parse(value)
 
 
+def parse_int(value, entry):
+    """An integer read from JSON: an int or a string of one, not a bool or
+    a float; otherwise a UsageError naming the entry that holds it."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise UsageError(f"{entry} must be an integer, got {value!r}")
+
+
 def field_from_json(data: dict) -> Field:
     if not isinstance(data, dict) or "kind" not in data:
         raise UsageError(f"bad field description {data!r}")
@@ -439,9 +452,9 @@ def field_from_json(data: dict) -> Field:
     if kind in ("prime_field", "gfp"):
         if "p" not in data:
             raise UsageError("prime_field needs key 'p'")
-        return PrimeField(int(data["p"]))
+        return PrimeField(parse_int(data["p"], f"key 'p' of field {kind!r}"))
     if kind == "cyclotomic":
         if "n" not in data:
             raise UsageError("cyclotomic needs key 'n'")
-        return CyclotomicField(int(data["n"]))
+        return CyclotomicField(parse_int(data["n"], "key 'n' of field 'cyclotomic'"))
     raise UsageError(f"unknown field kind {kind!r}")

@@ -971,17 +971,9 @@ def _matched_grouplike(glA, glB, idx):
 
 
 def _solve_change_of_basis(word_matrix: Matrix, img_matrix: Matrix):
-    """M with M @ word_matrix = img_matrix."""
-    f = word_matrix.field
-    wt = word_matrix.transpose()
-    cols = []
-    for r in range(img_matrix.nrows):
-        sol = wt.solve(img_matrix.row(r))
-        if sol is None:
-            return None
-        cols.append(sol)
-    # rows of M solve word_matrix^T m_r = img_row; assemble M from rows
-    return Matrix(f, cols)
+    """M with M @ word_matrix = img_matrix, from word_matrix^T M^T = img_matrix^T."""
+    Mt = word_matrix.transpose().solve_matrix(img_matrix.transpose())
+    return None if Mt is None else Mt.transpose()
 
 
 def subalgebra_closure_of(H: HopfAlgebra, vectors) -> Subspace:

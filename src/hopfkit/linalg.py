@@ -1,27 +1,19 @@
-"""Dense exact linear algebra over the hopfkit fields.
+"""Exact linear algebra over the hopfkit fields.
 
-Matrices are dense row-major grids of canonical field values.  The RREF
-pivot rule is fixed (first nonzero entry in a row-major scan, i.e. lowest
-column index first) so that quotient bases, nullspaces and subspace
-normal forms are deterministic and reproducible.
+Matrices are dense row-major grids of canonical field values; elimination
+is sparse.  ``Matrix.rref`` is the one elimination routine, a Gauss-Jordan
+over rows held as {column: nonzero} dicts that takes the sparsest
+candidate as pivot row.  The pivot columns are still taken in increasing
+order (lowest column index first), so the RREF, its pivot tuple and the
+quotient bases, nullspaces and subspace normal forms read off it are
+deterministic and reproducible.  ``solve``, ``solve_matrix``, ``inverse``
+and ``nullspace`` each read one RREF.
 """
 
 from __future__ import annotations
 
 from .errors import UsageError
 from .fields import Field
-
-
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
-
-
-def vec_scale(field, c, u):
-    return [field.mul(c, a) for a in u]
 
 
 def vec_is_zero(field, u):
@@ -98,23 +90,21 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same(other)
-        return Matrix(
-            self.field,
-            [vec_add(self.field, a, b) for a, b in zip(self.rows, other.rows)],
-        )
+        f = self.field
+        return Matrix(f, [[f.add(x, y) for x, y in zip(a, b)]
+                          for a, b in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         self._check_same(other)
-        return Matrix(
-            self.field,
-            [vec_sub(self.field, a, b) for a, b in zip(self.rows, other.rows)],
-        )
+        f = self.field
+        return Matrix(f, [[f.sub(x, y) for x, y in zip(a, b)]
+                          for a, b in zip(self.rows, other.rows)])
 
     def __neg__(self):
         return Matrix(self.field, [[self.field.neg(a) for a in r] for r in self.rows])
 
     def scale(self, c):
-        return Matrix(self.field, [vec_scale(self.field, c, r) for r in self.rows])
+        return Matrix(self.field, [[self.field.mul(c, a) for a in r] for r in self.rows])
 
     def _check_same(self, other):
         if self.field != other.field or self.shape != other.shape:
@@ -175,34 +165,60 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self):
-        """Reduced row-echelon form and the pivot column tuple."""
+        """Reduced row-echelon form and the pivot column tuple.
+
+        Sparse Gauss-Jordan on rows held as {column: nonzero} dicts.  Pivot
+        columns are taken in increasing order, so the RREF, which is
+        unique, and its pivots do not depend on the choice of pivot row.
+        Of the unused rows with a nonzero in the pivot column, the one
+        with the fewest nonzeros is taken, which keeps fill-in low
+        (Markowitz-style, as in LaMacchia-Odlyzko 1990).  A column -> rows
+        index means only rows with a nonzero in the pivot column are
+        touched.  The result is dense: pivot rows first, then zero rows.
+        """
         if self._rref is not None:
             return self._rref
         f = self.field
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        pr = 0
-        for pc in range(self.ncols):
-            sel = None
-            for i in range(pr, len(rows)):
-                if not f.is_zero(rows[i][pc]):
-                    sel = i
-                    break
-            if sel is None:
+        rows = [{j: a for j, a in enumerate(r) if not f.is_zero(a)} for r in self.rows]
+        where = {}
+        for i, row in enumerate(rows):
+            for j in row:
+                where.setdefault(j, set()).add(i)
+        used = {}  # pivot row -> pivot column, in pivot order
+        for pc in sorted(where):
+            cands = where[pc].difference(used)
+            if not cands:
                 continue
-            rows[pr], rows[sel] = rows[sel], rows[pr]
-            inv = f.inv(rows[pr][pc])
-            if not f.is_one(rows[pr][pc]):
-                rows[pr] = vec_scale(f, inv, rows[pr])
-            for i in range(len(rows)):
-                if i != pr and not f.is_zero(rows[i][pc]):
-                    c = rows[i][pc]
-                    rows[i] = [f.sub(x, f.mul(c, y)) for x, y in zip(rows[i], rows[pr])]
-            pivots.append(pc)
-            pr += 1
-            if pr == len(rows):
+            p = min(cands, key=lambda i: (len(rows[i]), i))
+            prow = rows[p]
+            # inverted even when it is one: one inv per pivot, so the
+            # field-op counts do not depend on which row is the pivot
+            inv = f.inv(prow[pc])
+            if not f.is_one(inv):
+                prow = rows[p] = {j: f.mul(inv, a) for j, a in prow.items()}
+            for i in where[pc] - {p}:
+                row = rows[i]
+                c = f.neg(row[pc])
+                for j, a in prow.items():
+                    x = row.get(j)
+                    if x is None:
+                        row[j] = f.mul(c, a)
+                        where[j].add(i)
+                        continue
+                    x = f.add(x, f.mul(c, a))
+                    if f.is_zero(x):
+                        del row[j]
+                        where[j].discard(i)
+                    else:
+                        row[j] = x
+            used[p] = pc
+            if len(used) == len(rows):
                 break
-        self._rref = (Matrix(f, rows), tuple(pivots))
+        out = [[f.zero] * self.ncols for _ in rows]
+        for r, p in enumerate(used):
+            for j, a in rows[p].items():
+                out[r][j] = a
+        self._rref = (Matrix(f, out), tuple(used.values()))
         return self._rref
 
     def rank(self):
@@ -224,33 +240,30 @@ class Matrix:
             basis.append(v)
         return basis
 
+    def solve_matrix(self, rhs: "Matrix"):
+        """One exact solution of ``self @ X = rhs`` (free variables 0), read
+        off one RREF of [self | rhs]; None if some column is inconsistent."""
+        if rhs.nrows != self.nrows:
+            raise UsageError(f"right-hand side has {rhs.nrows} rows, the matrix {self.nrows}")
+        n = self.ncols
+        R, pivots = Matrix(self.field, [a + b for a, b in zip(self.rows, rhs.rows)]).rref()
+        if pivots and pivots[-1] >= n:
+            return None
+        X = Matrix.zeros(self.field, n, rhs.ncols)
+        for r, pc in enumerate(pivots):
+            X.rows[pc] = R.rows[r][n:]
+        return X
+
     def solve(self, rhs):
         """One exact solution of ``self @ x = rhs`` or None (free vars 0)."""
-        f = self.field
-        aug = Matrix(f, [row + [b] for row, b in zip(self.rows, rhs)])
-        R, pivots = aug.rref()
-        if pivots and pivots[-1] == self.ncols:
-            return None
-        x = [f.zero] * self.ncols
-        for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][self.ncols]
-        return x
-
-    def solve_matrix(self, rhs: "Matrix"):
-        """Solve ``self @ X = rhs`` column by column; None if inconsistent."""
-        cols = []
-        for j in range(rhs.ncols):
-            x = self.solve(rhs.column(j))
-            if x is None:
-                return None
-            cols.append(x)
-        return Matrix.from_columns(self.field, cols)
+        if len(rhs) != self.nrows:
+            raise UsageError(f"right-hand side has {len(rhs)} entries, the matrix {self.nrows} rows")
+        X = self.solve_matrix(Matrix(self.field, [[b] for b in rhs]))
+        return None if X is None else X.column(0)
 
     def inverse(self):
         if self.nrows != self.ncols:
             raise UsageError("inverse of a non-square matrix")
-        if self.rank() != self.nrows:
-            return None
         return self.solve_matrix(Matrix.identity(self.field, self.nrows))
 
 
@@ -326,12 +339,8 @@ class Subspace:
             row = [self.basis.rows[i][coord] for i in range(self.dim)]
             row += [f.neg(other.basis.rows[j][coord]) for j in range(other.dim)]
             rows.append(row)
-        vectors = []
-        for sol in Matrix(f, rows).nullspace():
-            combo = [f.zero] * self.ambient
-            for i in range(self.dim):
-                combo = vec_add(f, combo, vec_scale(f, sol[i], self.basis.rows[i]))
-            vectors.append(combo)
+        coeffs = [sol[:self.dim] for sol in Matrix(f, rows).nullspace()]
+        vectors = (Matrix(f, coeffs) @ self.basis).rows if coeffs else []
         return Subspace(f, self.ambient, vectors)
 
     def complement_indices(self):

@@ -39,7 +39,7 @@ from .hopf import (
     tt_outer,
     verify_hopf,
 )
-from .linalg import Matrix, Subspace, unit_vector
+from .linalg import Matrix, Subspace
 from .qt import (
     QTStructure,
     TensorSquareElement,
@@ -357,10 +357,7 @@ def _quotient_data_from_projection(pi: HopfMorphism) -> QuotientData:
     """QuotientData for a surjection onto a concrete target: the section
     is any exact right inverse, the ideal is the kernel."""
     f = pi.source.field
-    cols = []
-    for b in range(pi.target.dim):
-        cols.append(pi.matrix.solve(unit_vector(f, pi.target.dim, b)))
-    section = Matrix.from_columns(f, cols)
+    section = pi.matrix.solve_matrix(Matrix.identity(f, pi.target.dim))
     ideal = Subspace(f, pi.source.dim, pi.matrix.nullspace())
     return QuotientData(pi, section, ideal, pi.target)
 

@@ -559,3 +559,59 @@ def _qt_on_z3(triples):
 def test_malformed_constants_are_input_errors(tmp_path, capsys, verb, doc, message):
     assert _main_report(tmp_path, verb, doc)[0] == 2
     assert message in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------------
+# malformed builder expressions and field specs are input errors
+# ----------------------------------------------------------------------
+
+def _on_gf7(obj):
+    return {"field": {"kind": "gfp", "p": 7}, "object": obj}
+
+
+def _field_only(verb, fld):
+    if verb == "check-cert":
+        return {"kind": "split_certificate", "field": fld}
+    return {"field": fld, "object": "Z2"}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("verify", _on_gf7({"builder": "cyclic"}), "builder 'cyclic' needs key 'n'"),
+    ("verify", _on_gf7({"builder": "dual"}), "builder 'dual' needs key 'of'"),
+    ("verify", _on_gf7({"builder": "tensor", "left": "Z2"}), "builder 'tensor' needs key 'right'"),
+    ("verify", _on_gf7({"builder": "twist", "of": "Z2"}), "builder 'twist' needs key 'j'"),
+    ("verify", _on_gf7({"builder": "quotient", "of": "Z2"}),
+     "builder 'quotient' needs key 'coideal'"),
+    ("verify", _on_gf7({"builder": "quotient", "of": "Z2", "coideal": [["1"]]}),
+     "key 'coideal' of builder 'quotient'"),
+    ("verify", _on_gf7({"builder": "group_algebra", "table": "x"}),
+     "key 'table' of builder 'group_algebra'"),
+    ("verify", _on_gf7({"builder": "taft", "p": "x", "omega": "2"}),
+     "key 'p' of builder 'taft' must be an integer"),
+    ("verify", _on_gf7({"builder": "symmetric", "n": 1.5}),
+     "key 'n' of builder 'symmetric' must be an integer"),
+    ("verify", _on_gf7({"builder": "cyclic", "n": True}),
+     "key 'n' of builder 'cyclic' must be an integer"),
+    ("verify", _field_only("verify", {"kind": "gfp", "p": "x"}),
+     "key 'p' of field 'gfp' must be an integer"),
+    ("check-cert", _field_only("check-cert", {"kind": "gfp", "p": "x"}),
+     "key 'p' of field 'gfp' must be an integer"),
+    ("verify", _field_only("verify", {"kind": "cyclotomic", "n": "a"}),
+     "key 'n' of field 'cyclotomic' must be an integer"),
+    ("check-cert", _field_only("check-cert", {"kind": "cyclotomic", "n": "a"}),
+     "key 'n' of field 'cyclotomic' must be an integer"),
+    ("verify", _field_only("verify", {"kind": "gfp", "p": 7.9}),
+     "key 'p' of field 'gfp' must be an integer"),
+], ids=["cyclic-no-n", "dual-no-of", "tensor-no-right", "twist-no-j", "quotient-no-coideal",
+        "quotient-short-coideal", "table-string", "taft-p-x", "symmetric-float", "cyclic-bool",
+        "gfp-p-x", "cert-gfp-p-x", "cyclotomic-n-a", "cert-cyclotomic-n-a", "gfp-float"])
+def test_malformed_builder_and_field_are_input_errors(tmp_path, capsys, verb, doc, message):
+    assert _main_report(tmp_path, verb, doc)[0] == 2
+    assert message in capsys.readouterr().err
+
+
+def test_integer_strings_stay_valid(tmp_path):
+    doc = {"field": {"kind": "gfp", "p": "7"},
+           "object": {"builder": "taft", "p": "3", "omega": "2"}}
+    code, report = _main_report(tmp_path, "verify", doc)
+    assert code == 0 and report["object"]["dim"] == 9

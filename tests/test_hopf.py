@@ -619,3 +619,27 @@ def test_tensor_products_match_dense_reference(double_h4):
     for _ in range(5):
         A, B = element(3, 4), element(3, 4)
         assert t3_mul(H, A, B) == _dense_tensor_product(H, A, B)
+
+
+def test_solved_taft5_antipode_matches_closed_form():
+    # S(a) = a^-1 and S(x) = -x a^-1; S reverses products, so on the basis
+    # a^i x^j (index i * p + j) it is S(x)^j S(a)^i
+    from hopfkit.catalog import taft
+    from hopfkit.fields import CyclotomicField
+
+    f = CyclotomicField(5)
+    p = 5
+    H = taft(f, p, "z")
+    A = H.algebra
+    S = H.antipode
+    assert H.antipode_source == "computed"
+    a_inv = unit_vector(f, H.dim, (p - 1) * p)
+    s_x = [f.neg(c) for c in A.product(unit_vector(f, H.dim, 1), a_inv)]
+    for i in range(p):
+        for j in range(p):
+            closed = list(H.unit)
+            for _ in range(j):
+                closed = A.product(closed, s_x)
+            for _ in range(i):
+                closed = A.product(closed, a_inv)
+            assert S.column(i * p + j) == closed, (i, j)

@@ -129,3 +129,13 @@ def test_subspace_intersection_and_sum():
 def test_subspace_complement_indices():
     V = Subspace(QQ, 4, [[1, 0, 2, 0], [0, 1, 3, 0]])
     assert V.complement_indices() == [2, 3]
+
+
+@pytest.mark.parametrize("rhs", [[Fraction(1)], [Fraction(1)] * 3])
+def test_solve_rejects_wrong_length_rhs(rhs):
+    M = _mat([[1, 0], [0, 1]])
+    with pytest.raises(UsageError, match="right-hand side"):
+        M.solve(rhs)
+    with pytest.raises(UsageError, match="right-hand side"):
+        M.solve_matrix(Matrix(QQ, [[b] for b in rhs]))
+
