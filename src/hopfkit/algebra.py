@@ -15,7 +15,7 @@ from . import gfpoly
 from .checks import Report
 from .errors import UsageError
 from .fields import CyclotomicField, PrimeField, Rationals
-from .linalg import Matrix, Subspace, unit_vector, vec_is_zero
+from .linalg import Matrix, Subspace, unit_vector
 from .tensors import SparseTensor3
 
 
@@ -258,16 +258,20 @@ def _basis_product_vec(A, i, j):
 
 
 def abelianization(A: AlgebraPresentation):
-    """Quotient by the two-sided ideal generated by all commutators."""
+    """Quotient by the two-sided ideal generated by all commutators.
+
+    The generators are the nonzero commutators [e_i, e_j], i < j, in
+    increasing (i, j) order; only pairs in the pair index can give one."""
     f = A.field
+    pairs = A.mul.pair_index()
     gens = []
-    for i in range(A.dim):
-        for j in range(i + 1, A.dim):
-            ij = _basis_product_vec(A, i, j)
-            ji = _basis_product_vec(A, j, i)
-            comm = [f.sub(a, b) for a, b in zip(ij, ji)]
-            if not vec_is_zero(f, comm):
-                gens.append(comm)
+    for i, j in sorted({(min(i, j), max(i, j)) for i, j in pairs if i != j}):
+        comm = dict(pairs.get((i, j), ()))
+        for k, c in pairs.get((j, i), ()):
+            comm[k] = f.sub(comm.get(k, f.zero), c)
+        comm = dict(nonzero_terms(f, comm))
+        if comm:
+            gens.append(dense_vector(f, A.dim, comm))
     if not gens:
         return A, Matrix.identity(f, A.dim), Matrix.identity(f, A.dim)
     ideal = two_sided_ideal(A, gens)
@@ -279,24 +283,21 @@ def abelianization(A: AlgebraPresentation):
 # ----------------------------------------------------------------------
 
 def minimal_polynomial(M: Matrix):
-    """Monic minimal polynomial of a square matrix, ascending coefficients."""
+    """Monic minimal polynomial of a square matrix, ascending coefficients.
+
+    One RREF of the flattened powers I, M, ..., M^n stacked as columns:
+    its first free column m is the first power that depends on the
+    earlier ones, which are independent, so the nullspace vector of that
+    column holds the unique monic coefficients."""
     f = M.field
     n = M.nrows
     if n == 0:
         return [f.one]
     powers = [Matrix.identity(f, n)]
-    flat_rows = [sum(powers[0].rows, [])]
-    for m in range(1, n + 2):
+    for _ in range(n):
         powers.append(powers[-1] @ M)
-        target = sum(powers[-1].rows, [])
-        # try to express A^m in previous powers
-        cols = Matrix(f, flat_rows).transpose()
-        sol = cols.solve(target)
-        if sol is not None:
-            coeffs = [f.neg(c) for c in sol] + [f.one]
-            return coeffs
-        flat_rows.append(target)
-    raise AssertionError("minimal polynomial not found (unreachable)")
+    stacked = Matrix.from_columns(f, [sum(P.rows, []) for P in powers])
+    return stacked.nullspace()[0][:stacked.rank() + 1]
 
 
 def _rational_roots(poly):

@@ -211,12 +211,18 @@ _NAMED_GROUPS = {
 def build_catalog(field: Field, spec) -> HopfAlgebra:
     """Dispatch a builder expression (dict, see README schema) and verify
     the result.  Known shorthand strings: Z2, Z3, Z4, S3, sweedler."""
+    return build_verified(field, spec)[0]
+
+
+def build_verified(field: Field, spec):
+    """build_catalog's result and the passing verify_hopf report it was
+    checked with, for callers that report the axioms themselves."""
     H = _build(field, spec)
     rep = verify_hopf(H)
     if not rep.ok:
         bad = rep.first_failure()
         raise BuilderError(f"builder output failed verification at {bad.name!r}")
-    return H
+    return H, rep
 
 
 def _arg(spec, key, integer=False):

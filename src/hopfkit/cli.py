@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import center, characters
-from .catalog import build_catalog
+from .catalog import build_catalog, build_verified
 from .checks import Report
 from .errors import (
     BuilderError,
@@ -146,8 +146,16 @@ def _normalize_task(t, index):
 @dataclass
 class _ObjectContext:
     hopf: HopfAlgebra
+    # the verify_hopf report: the catalog's for a builder expression,
+    # made on first use for a raw structure, which nothing has verified
+    report: Report = None
     tensor_factors: tuple = None
     double_of: HopfAlgebra = None
+
+    def axioms(self) -> Report:
+        if self.report is None:
+            self.report = verify_hopf(self.hopf)
+        return self.report
 
 
 def resolve_object(field: Field, spec) -> _ObjectContext:
@@ -161,7 +169,7 @@ def resolve_object(field: Field, spec) -> _ObjectContext:
         return _ObjectContext(H)
     # the whole expression first, so that its keys are checked before
     # the factors are read
-    ctx = _ObjectContext(build_catalog(field, spec))
+    ctx = _ObjectContext(*build_verified(field, spec))
     if isinstance(spec, dict):
         if spec.get("builder") == "tensor":
             left = build_catalog(field, spec["left"])
@@ -230,7 +238,7 @@ def _resolve_pi(field, ctx: _ObjectContext, pispec) -> HopfMorphism:
 
 
 def _run_verify(ctx, task, job):
-    rep = verify_hopf(ctx.hopf)
+    rep = ctx.axioms()
     return {"task": "verify", "verdict": "pass" if rep.ok else "fail",
             "checks": rep.as_dict()["checks"]}, rep.ok
 
@@ -238,7 +246,7 @@ def _run_verify(ctx, task, job):
 def _run_analyze(ctx, task, job):
     H = ctx.hopf
     f = H.field
-    rep = verify_hopf(H)
+    rep = ctx.axioms()
     out = {
         "task": "analyze",
         "verdict": "pass" if rep.ok else "fail",

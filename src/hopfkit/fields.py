@@ -11,10 +11,19 @@ values in a canonical form that is unique per field element:
 
 All operations are pure and never leave canonical form, so ``==`` on raw
 values is exact equality in the field.
+
+Inside, the cyclotomic arithmetic runs on integers: a product convolves
+the integer numerators of its operands over their common denominators
+and reduces by an integer table of x^k mod Phi_n, and an inverse is the
+product of the Galois conjugates over the norm.  Only the result is
+turned back into reduced ``Fraction`` coordinates, so the values, and
+everything shown, hashed or stored from them, are the same as with
+``Fraction`` arithmetic throughout.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
@@ -38,7 +47,7 @@ def is_prime(n: int) -> bool:
 
 # ----------------------------------------------------------------------
 # rational polynomial helpers (ascending coefficient lists of Fraction),
-# used only to build and reduce cyclotomic moduli
+# used only to build the cyclotomic moduli
 # ----------------------------------------------------------------------
 
 def _poly_trim(c):
@@ -240,6 +249,19 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _integer_terms(terms):
+    """(common denominator D, [(i, D * x)]) for sparse Fraction terms
+    [(i, x)], so that every D * x is an integer."""
+    den = math.lcm(*[x.denominator for _, x in terms])
+    if den == 1:
+        return 1, [(i, x.numerator) for i, x in terms]
+    return den, [(i, x.numerator * (den // x.denominator)) for i, x in terms]
+
+
 def _parse_cyclo_term(raw: str):
     """One additive term: rational, z, z^k, or rational [*] z[^k]."""
     t = raw.strip()
@@ -268,7 +290,12 @@ def _parse_cyclo_term(raw: str):
 
 
 class CyclotomicField(Field):
-    """Q[z] / (Phi_n(z)); ``z`` is a primitive n-th root of unity."""
+    """Q[z] / (Phi_n(z)); ``z`` is a primitive n-th root of unity.
+
+    Phi_n is monic with integer coefficients, so x^k mod Phi_n is an
+    integer vector and a product of two numerator vectors reduces without
+    a fraction; each result coordinate is one ``Fraction(num, den)``.
+    """
 
     kind = "cyclotomic"
     characteristic = 0
@@ -278,78 +305,116 @@ class CyclotomicField(Field):
             raise UsageError("cyclotomic index must be >= 1")
         self.n = n
         self.modulus = cyclotomic_polynomial(n)
-        self.degree = len(self.modulus) - 1
-        self.zero = tuple([Fraction(0)] * self.degree)
-        one = [Fraction(0)] * self.degree
-        one[0] = Fraction(1)
-        self.one = tuple(one)
-        # x^k mod Phi_n for k up to 2*(deg-1), precomputed for products
+        self.degree = d = len(self.modulus) - 1
+        self.zero = tuple([_ZERO] * d)
+        self.one = (_ONE,) + self.zero[1:]
+        # x^k mod Phi_n as sparse integer vectors [(i, c)], for every k a
+        # product (k <= 2d - 2) or a Galois conjugate (k < n) can reach
+        phi = [int(c) for c in self.modulus]
+        cur = [1] + [0] * (d - 1)
         self._xpow = []
-        cur = [Fraction(0)] * self.degree
-        cur[0] = Fraction(1)
-        for _ in range(2 * self.degree - 1):
-            self._xpow.append(tuple(cur))
-            cur = [Fraction(0)] + cur
-            lead = cur.pop()  # coefficient at x^degree
+        for _ in range(max(n, 2 * d - 1)):
+            self._xpow.append([(i, c) for i, c in enumerate(cur) if c])
+            lead = cur[-1]
+            cur = [0] + cur[:-1]
             if lead:
-                for i in range(self.degree):
-                    cur[i] -= lead * self.modulus[i]
+                cur = [c - lead * p for c, p in zip(cur, phi)]
+        # the Galois group is k in (Z/n)^x acting by z -> z^k; all but k = 1
+        self._units = [k for k in range(2, n) if math.gcd(k, n) == 1]
 
     @property
     def generator(self):
         if self.degree == 1:
             # Phi_1 = x - 1 or Phi_2 = x + 1: z is rational
             return tuple([-self.modulus[0]])
-        g = [Fraction(0)] * self.degree
-        g[1] = Fraction(1)
+        g = [_ZERO] * self.degree
+        g[1] = _ONE
         return tuple(g)
 
     def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        zero = self.zero
+        if a is zero:
+            return b
+        if b is zero:
+            return a
+        return tuple(x + y if x and y else x or y for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        zero = self.zero
+        if b is zero:
+            return a
+        if a is zero:
+            return self.neg(b)
+        return tuple(x - y if y else x for x, y in zip(a, b))
 
     def neg(self, a):
-        return tuple(-x for x in a)
+        if a is self.zero:
+            return a
+        return tuple(-x if x else x for x in a)
+
+    def is_zero(self, a) -> bool:
+        return a is self.zero or not any(a)
 
     def mul(self, a, b):
-        acc = [Fraction(0)] * self.degree
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj == 0:
-                    continue
-                for k, ck in enumerate(self._xpow[i + j]):
-                    if ck:
-                        acc[k] += ai * bj * ck
-        return tuple(acc)
+        zero = self.zero
+        if a is zero or b is zero:
+            return zero
+        sa = [(i, x) for i, x in enumerate(a) if x]
+        sb = [(j, y) for j, y in enumerate(b) if y]
+        if not sa or not sb:
+            return zero
+        if len(sa) == 1 and not sa[0][0]:
+            q = sa[0][1]
+            return tuple(y * q if y else y for y in b)
+        if len(sb) == 1 and not sb[0][0]:
+            q = sb[0][1]
+            return tuple(x * q if x else x for x in a)
+        da, na = _integer_terms(sa)
+        db, nb = _integer_terms(sb)
+        return self._from_integers(self._int_mul(na, nb), da * db)
 
     def inv(self, a):
-        if all(x == 0 for x in a):
+        if self.is_zero(a):
             raise ZeroDivisionError(f"division by zero in Q(z_{self.n})")
-        # extended Euclid in Q[x] against the (irreducible) modulus
-        r0, r1 = list(self.modulus), _poly_trim(list(a))
-        t0, t1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            t0, t1 = t1, _poly_trim(
-                [
-                    (t0[i] if i < len(t0) else Fraction(0))
-                    - sum(
-                        q[j] * t1[i - j]
-                        for j in range(len(q))
-                        if 0 <= i - j < len(t1)
-                    )
-                    for i in range(max(len(t0), len(q) + len(t1) - 1))
-                ]
-            )
-        if len(r0) != 1:
-            raise ZeroDivisionError("element is a zero divisor (modulus not coprime)")
-        scale = 1 / r0[0]
-        out = [Fraction(0)] * self.degree
-        for i, c in enumerate(t0):
-            out[i] = c * scale
-        return tuple(out)
+        # a^-1 = prod_{k != 1} sigma_k(a) / N(a), with N(a) = prod_k sigma_k(a)
+        # rational; on the numerators A = da * a this is da * P / (A * P)
+        da, na = _integer_terms([(i, x) for i, x in enumerate(a) if x])
+        prod = [(0, 1)]
+        for k in self._units:
+            prod = [(i, c) for i, c in enumerate(self._int_mul(prod, self._conjugate(na, k))) if c]
+        norm = self._int_mul(na, prod)[0]
+        nums = [0] * self.degree
+        for i, c in prod:
+            nums[i] = c * da
+        return self._from_integers(nums, norm)
+
+    def _int_mul(self, na, nb):
+        """Product of two sparse integer vectors [(i, c)], reduced mod
+        Phi_n to a dense integer list of length degree."""
+        d = self.degree
+        conv = [0] * (na[-1][0] + nb[-1][0] + 1)
+        for i, p in na:
+            for j, q in nb:
+                conv[i + j] += p * q
+        out = conv[:d] + [0] * (d - len(conv))
+        xpow = self._xpow
+        for k in range(d, len(conv)):
+            c = conv[k]
+            if c:
+                for i, r in xpow[k]:
+                    out[i] += c * r
+        return out
+
+    def _conjugate(self, na, k):
+        """sigma_k: z -> z^k on a sparse integer vector, as a sparse one."""
+        out = {}
+        for i, c in na:
+            for j, r in self._xpow[i * k % self.n]:
+                out[j] = out.get(j, 0) + c * r
+        return sorted(out.items())
+
+    def _from_integers(self, nums, den):
+        return tuple(Fraction(c, den) if c else _ZERO for c in nums)
 
     def from_rational(self, q: Fraction):
         out = [Fraction(0)] * self.degree

@@ -1,8 +1,14 @@
+import hashlib
+import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hopfkit.cli import execute, parse_jobspec
 from hopfkit.errors import UsageError
 from hopfkit.fields import (
     CyclotomicField,
@@ -11,6 +17,7 @@ from hopfkit.fields import (
     cyclotomic_polynomial,
     field_from_json,
 )
+from hopfkit.report import dumps_stable
 
 
 def test_gf7_inverse_matches_scan():
@@ -139,3 +146,143 @@ def test_cyclotomic_generator_is_primitive_root():
         assert field.is_one(field.pow(z, n))
         for k in range(1, n):
             assert not field.is_one(field.pow(z, k))
+
+
+# ----------------------------------------------------------------------
+# the integer kernel of CyclotomicField against a schoolbook reference
+# ----------------------------------------------------------------------
+
+CYCLOTOMIC_INDICES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15]
+_CYCLOTOMIC_FIELDS = {n: CyclotomicField(n) for n in CYCLOTOMIC_INDICES}
+
+
+@st.composite
+def _cyclotomic_operands(draw):
+    """(field, a, b, c): operands that are the field's zero object, a
+    fresh zero tuple, rational, monomial or dense with mixed denominators."""
+    field = _CYCLOTOMIC_FIELDS[draw(st.sampled_from(CYCLOTOMIC_INDICES))]
+    d = field.degree
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+
+    def element():
+        kind = draw(st.sampled_from(["zero", "fresh zero", "rational", "monomial", "dense"]))
+        if kind == "zero":
+            return field.zero
+        v = [Fraction(0)] * d
+        if kind == "rational":
+            v[0] = draw(coeff)
+        elif kind == "monomial":
+            v[draw(st.integers(0, d - 1))] = draw(coeff)
+        elif kind == "dense":
+            v = [draw(coeff) for _ in range(d)]
+        return tuple(v)
+
+    return field, element(), element(), element()
+
+
+def _schoolbook_mul(n, a, b):
+    """Fraction polynomial product, then long division by Phi_n."""
+    prod = [Fraction(0)] * (2 * len(a) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    modulus = cyclotomic_polynomial(n)
+    d = len(modulus) - 1
+    for k in range(len(prod) - 1, d - 1, -1):
+        c = prod[k]
+        for i in range(d + 1):
+            prod[k - d + i] -= c * modulus[i]
+    return tuple(prod[:d])
+
+
+def _assert_canonical(field, v):
+    """A tuple of degree reduced Fractions with positive denominators."""
+    assert isinstance(v, tuple) and len(v) == field.degree
+    for x in v:
+        assert type(x) is Fraction
+        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+
+
+def _same_value(field, got, want):
+    _assert_canonical(field, got)
+    assert [(x.numerator, x.denominator) for x in got] == \
+        [(y.numerator, y.denominator) for y in want]
+
+
+_KERNEL_SETTINGS = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@_KERNEL_SETTINGS
+@given(_cyclotomic_operands())
+def test_cyclotomic_kernel_matches_schoolbook(operands):
+    field, a, b, _ = operands
+    _same_value(field, field.mul(a, b), _schoolbook_mul(field.n, a, b))
+    _same_value(field, field.add(a, b), [x + y for x, y in zip(a, b)])
+    _same_value(field, field.sub(a, b), [x - y for x, y in zip(a, b)])
+    _same_value(field, field.neg(a), [-x for x in a])
+    assert field.is_zero(a) == all(x == 0 for x in a)
+
+
+@_KERNEL_SETTINGS
+@given(_cyclotomic_operands())
+def test_cyclotomic_kernel_inverse(operands):
+    field, a, b, c = operands
+    for x in (a, b, c):
+        if field.is_zero(x):
+            with pytest.raises(ZeroDivisionError):
+                field.inv(x)
+            continue
+        inv = field.inv(x)
+        _assert_canonical(field, inv)
+        assert field.mul(x, inv) == field.one
+        assert field.mul(inv, x) == field.one
+
+
+@_KERNEL_SETTINGS
+@given(_cyclotomic_operands())
+def test_cyclotomic_kernel_matches_sympy(operands):
+    sympy = pytest.importorskip("sympy")
+    field, a, b, _ = operands
+    x = sympy.Symbol("x")
+    phi = sympy.cyclotomic_poly(field.n, x)
+
+    def poly(v):
+        return sum(sympy.Rational(c.numerator, c.denominator) * x ** i for i, c in enumerate(v))
+
+    def coords(expr):
+        p = sympy.Poly(expr, x, domain="QQ").all_coeffs()[::-1]
+        p += [0] * (field.degree - len(p))
+        return [Fraction(int(sympy.numer(c)), int(sympy.denom(c))) for c in p]
+
+    _same_value(field, field.mul(a, b), coords(sympy.rem(poly(a) * poly(b), phi, x)))
+    if not field.is_zero(a):
+        _same_value(field, field.inv(a), coords(sympy.invert(poly(a), phi, x)))
+
+
+def test_cyclotomic_zero_shortcuts_return_the_operand():
+    field = CyclotomicField(5)
+    a = field.parse("1/2+z^3")
+    assert field.add(field.zero, a) is a
+    assert field.add(a, field.zero) is a
+    assert field.sub(a, field.zero) is a
+    assert field.neg(field.zero) is field.zero
+    assert field.mul(field.zero, a) is field.zero
+
+
+# Digests of whole reports over Q(z_n), taken before the integer kernel
+# replaced the Fraction loops; every byte of these reports must stay.
+REPORT_DIGESTS = {
+    ("obstruct", 5): "2d00e13ef277f78b40556b8795dd357ccc07901ff62f2e0dd91b06a0df22b1cc",
+    ("analyze", 5): "c8e15fb07f8b85b37e50901e83d00b9a07637936309b687cf681446d000b2376",
+    ("obstruct", 3): "2ac0a1aaf98b51f35cdbb993c8e902e1b314ec279cad1cdb41819cb5d85de51f",
+}
+
+
+@pytest.mark.parametrize("task,n", sorted(REPORT_DIGESTS))
+def test_taft_cyclotomic_report_golden(task, n):
+    job = {"schema_version": 2, "field": {"kind": "cyclotomic", "n": n},
+           "object": {"builder": "taft", "p": n, "omega": "z"}, "tasks": [task]}
+    report, code, _ = execute(parse_jobspec(json.dumps(job)))
+    assert code == 0
+    digest = hashlib.sha256(dumps_stable(report).encode("utf-8")).hexdigest()
+    assert digest == REPORT_DIGESTS[(task, n)]
