@@ -214,10 +214,12 @@ def build_catalog(field: Field, spec) -> HopfAlgebra:
     return build_verified(field, spec)[0]
 
 
-def build_verified(field: Field, spec):
+def build_verified(field: Field, spec, parts=None):
     """build_catalog's result and the passing verify_hopf report it was
-    checked with, for callers that report the axioms themselves."""
-    H = _build(field, spec)
+    checked with, for callers that report the axioms themselves.  A dict
+    ``parts`` receives the verified operands of a top-level tensor
+    ("left", "right") or double ("of"), so they are not built again."""
+    H = _build(field, spec, parts)
     rep = verify_hopf(H)
     if not rep.ok:
         bad = rep.first_failure()
@@ -237,7 +239,7 @@ def _arg(spec, key, integer=False):
     return spec[key]
 
 
-def _build(field: Field, spec) -> HopfAlgebra:
+def _build(field: Field, spec, parts=None) -> HopfAlgebra:
     if isinstance(spec, str):
         if spec in _NAMED_GROUPS:
             return _NAMED_GROUPS[spec](field)
@@ -280,11 +282,15 @@ def _build(field: Field, spec) -> HopfAlgebra:
     if kind == "tensor":
         left = build_catalog(field, _arg(spec, "left"))
         right = build_catalog(field, _arg(spec, "right"))
+        if parts is not None:
+            parts.update(left=left, right=right)
         return tensor_hopf(left, right)
     if kind == "double":
         from .qt import drinfeld_double
 
         inner = build_catalog(field, _arg(spec, "of"))
+        if parts is not None:
+            parts["of"] = inner
         return drinfeld_double(inner).hopf
     if kind == "twist":
         from .qt import TensorSquareElement, apply_twist, verify_twist

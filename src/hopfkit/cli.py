@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import center, characters
-from .catalog import build_catalog, build_verified
+from .catalog import build_verified
 from .checks import Report
 from .errors import (
     BuilderError,
@@ -167,16 +167,12 @@ def resolve_object(field: Field, spec) -> _ObjectContext:
             raise UsageError(f"unknown object keys {sorted(extra)}")
         H = hopf_from_json(field, spec["structure"])
         return _ObjectContext(H)
-    # the whole expression first, so that its keys are checked before
-    # the factors are read
-    ctx = _ObjectContext(*build_verified(field, spec))
-    if isinstance(spec, dict):
-        if spec.get("builder") == "tensor":
-            left = build_catalog(field, spec["left"])
-            right = build_catalog(field, spec["right"])
-            ctx.tensor_factors = (left, right)
-        if spec.get("builder") == "double":
-            ctx.double_of = build_catalog(field, spec["of"])
+    # the factors are the ones built inside the whole expression
+    parts = {}
+    ctx = _ObjectContext(*build_verified(field, spec, parts))
+    if "left" in parts:
+        ctx.tensor_factors = (parts["left"], parts["right"])
+    ctx.double_of = parts.get("of")
     return ctx
 
 

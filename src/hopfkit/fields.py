@@ -295,6 +295,7 @@ class CyclotomicField(Field):
     Phi_n is monic with integer coefficients, so x^k mod Phi_n is an
     integer vector and a product of two numerator vectors reduces without
     a fraction; each result coordinate is one ``Fraction(num, den)``.
+    ``mul`` by a zero or one operand returns at once.
     """
 
     kind = "cyclotomic"
@@ -359,6 +360,11 @@ class CyclotomicField(Field):
         zero = self.zero
         if a is zero or b is zero:
             return zero
+        one = self.one
+        if a == one:
+            return b
+        if b == one:
+            return a
         sa = [(i, x) for i, x in enumerate(a) if x]
         sb = [(j, y) for j, y in enumerate(b) if y]
         if not sa or not sb:

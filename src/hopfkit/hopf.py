@@ -10,10 +10,13 @@ Conventions, fixed once for the whole package:
 
 The antipode is a property of HopfAlgebra: the matrix given to the
 constructor, or else the convolution inverse of the identity, solved
-once by one linear system on the first read; a singular system makes it
-None ("no antipode") rather than raising.  No verifier writes it, and
-``antipode_source`` records which it was: "given", "computed" (by that
-solve, also when it found none), or None while it is not yet determined.
+once on the first read by one linear system in the d^2 unknowns S[s][j],
+whose rows are built sparse from the comultiplication and the pair index
+and eliminated by ``linalg.solve_rows`` (no d^2 x d^2 matrix is formed);
+a singular system makes it None ("no antipode") rather than raising.  No
+verifier writes it, and ``antipode_source`` records which it was:
+"given", "computed" (by that solve, also when it found none), or None
+while it is not yet determined.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .algebra import (
 )
 from .checks import Report
 from .errors import StructureError, UsageError
-from .linalg import Matrix, Subspace, unit_vector
+from .linalg import Matrix, Subspace, solve_rows, unit_vector
 from .tensors import SparseTensor3
 
 # ----------------------------------------------------------------------
@@ -268,31 +271,42 @@ class HopfAlgebra:
 
 def solve_antipode(H: HopfAlgebra):
     """Convolution inverse of the identity, or None if the linear system
-    is singular (the bialgebra has no antipode)."""
+    is singular (the bialgebra has no antipode).
+
+    The unknown S[s][j] is column s*d + j; row (i, t) is the e_t
+    coordinate of S(e_i(1)) e_i(2) = eps(e_i) 1, built sparse from
+    basis_comul(i) and the products e_s e_k grouped by right factor k and
+    output t."""
     f = H.field
     d = H.dim
+    n = d * d
+    by_right = {}  # (k, t) -> [(s, mul[s,k,t])]
+    for (s, k), terms in H.mul.pair_index().items():
+        for (t, mv) in terms:
+            by_right.setdefault((k, t), []).append((s, mv))
     rows = []
-    rhs = []
-    mul_pi = H.mul.pair_index()
     for i in range(d):
         terms = H.basis_comul(i)
         for t in range(d):
-            row = [f.zero] * (d * d)
+            row = {}
             for (j, k, c) in terms:
-                for s in range(d):
-                    for (tt, mv) in mul_pi.get((s, k), []):
-                        if tt == t:
-                            col = s * d + j
-                            row[col] = f.add(row[col], f.mul(c, mv))
+                for (s, mv) in by_right.get((k, t), ()):
+                    col = s * d + j
+                    x = f.mul(c, mv)
+                    cur = row.get(col)
+                    row[col] = x if cur is None else f.add(cur, x)
+            row = {col: a for col, a in row.items() if not f.is_zero(a)}
+            b = f.mul(H.counit[i], H.unit[t])
+            if not f.is_zero(b):
+                row[n] = b
             rows.append(row)
-            rhs.append(f.mul(H.counit[i], H.unit[t]))
-    sol = Matrix(f, rows).solve(rhs)
+    sol = solve_rows(f, rows, n)
     if sol is None:
         return None
     S = Matrix.zeros(f, d, d)
-    for s in range(d):
-        for j in range(d):
-            S.rows[s][j] = sol[s * d + j]
+    for col, a in sol.items():
+        s, j = divmod(col, d)
+        S.rows[s][j] = a
     # the solve produces a left convolution inverse; confirm the right law
     if not _antipode_ok(H, S):
         return None

@@ -1,13 +1,17 @@
 """Exact linear algebra over the hopfkit fields.
 
 Matrices are dense row-major grids of canonical field values; elimination
-is sparse.  ``Matrix.rref`` is the one elimination routine, a Gauss-Jordan
+is sparse.  ``eliminate`` is the one elimination routine, a Gauss-Jordan
 over rows held as {column: nonzero} dicts that takes the sparsest
-candidate as pivot row.  The pivot columns are still taken in increasing
-order (lowest column index first), so the RREF, its pivot tuple and the
-quotient bases, nullspaces and subspace normal forms read off it are
-deterministic and reproducible.  ``solve``, ``solve_matrix``, ``inverse``
-and ``nullspace`` each read one RREF.
+candidate as pivot row, and ``solve_rows`` reads one solution of an
+augmented system off it.  Callers with a large sparse system (the
+antipode, the regular-representation inverse in H (x) H) build its rows
+as dicts and call these directly, never a dense matrix.  The pivot
+columns are taken in increasing order (lowest column index first), so
+the RREF, its pivot tuple and the quotient bases, nullspaces and
+subspace normal forms read off it are deterministic and reproducible.
+``Matrix.rref``, ``solve`` and ``solve_matrix`` are thin dense wrappers
+of the two; ``inverse`` and ``nullspace`` read them.
 """
 
 from __future__ import annotations
@@ -24,6 +28,71 @@ def unit_vector(field, n, i):
     v = [field.zero] * n
     v[i] = field.one
     return v
+
+
+def sparse_rows(field, rows):
+    """Dense rows as {column: nonzero} dicts."""
+    return [{j: a for j, a in enumerate(r) if not field.is_zero(a)} for r in rows]
+
+
+def eliminate(field, rows):
+    """Sparse Gauss-Jordan on rows held as {column: nonzero} dicts, which
+    it reduces in place; returns the reduced pivot rows in pivot order
+    and the pivot column tuple.
+
+    Pivot columns are taken in increasing order, so the RREF, which is
+    unique, and its pivots do not depend on the choice of pivot row.  Of
+    the unused rows with a nonzero in the pivot column, the one with the
+    fewest nonzeros is taken, which keeps fill-in low (Markowitz-style,
+    as in LaMacchia-Odlyzko 1990).  A column -> rows index means only
+    rows with a nonzero in the pivot column are touched.
+    """
+    f = field
+    where = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            where.setdefault(j, set()).add(i)
+    used = {}  # pivot row -> pivot column, in pivot order
+    for pc in sorted(where):
+        cands = where[pc].difference(used)
+        if not cands:
+            continue
+        p = min(cands, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        # inverted even when it is one: one inv per pivot, so the
+        # field-op counts do not depend on which row is the pivot
+        inv = f.inv(prow[pc])
+        if not f.is_one(inv):
+            prow = rows[p] = {j: f.mul(inv, a) for j, a in prow.items()}
+        for i in where[pc] - {p}:
+            row = rows[i]
+            c = f.neg(row[pc])
+            for j, a in prow.items():
+                x = row.get(j)
+                if x is None:
+                    row[j] = f.mul(c, a)
+                    where[j].add(i)
+                    continue
+                x = f.add(x, f.mul(c, a))
+                if f.is_zero(x):
+                    del row[j]
+                    where[j].discard(i)
+                else:
+                    row[j] = x
+        used[p] = pc
+        if len(used) == len(rows):
+            break
+    return [rows[p] for p in used], tuple(used.values())
+
+
+def solve_rows(field, rows, n):
+    """One solution of the augmented system whose sparse rows hold the
+    right-hand side in column n, as {column: nonzero value} with free
+    variables 0, or None if the system is inconsistent."""
+    prows, pivots = eliminate(field, rows)
+    if pivots and pivots[-1] >= n:
+        return None
+    return {pc: row[n] for row, pc in zip(prows, pivots) if n in row}
 
 
 class Matrix:
@@ -165,60 +234,17 @@ class Matrix:
     # -- elimination -------------------------------------------------------
 
     def rref(self):
-        """Reduced row-echelon form and the pivot column tuple.
-
-        Sparse Gauss-Jordan on rows held as {column: nonzero} dicts.  Pivot
-        columns are taken in increasing order, so the RREF, which is
-        unique, and its pivots do not depend on the choice of pivot row.
-        Of the unused rows with a nonzero in the pivot column, the one
-        with the fewest nonzeros is taken, which keeps fill-in low
-        (Markowitz-style, as in LaMacchia-Odlyzko 1990).  A column -> rows
-        index means only rows with a nonzero in the pivot column are
-        touched.  The result is dense: pivot rows first, then zero rows.
-        """
+        """Reduced row-echelon form and the pivot column tuple, read off
+        ``eliminate``: pivot rows first, then zero rows."""
         if self._rref is not None:
             return self._rref
         f = self.field
-        rows = [{j: a for j, a in enumerate(r) if not f.is_zero(a)} for r in self.rows]
-        where = {}
-        for i, row in enumerate(rows):
-            for j in row:
-                where.setdefault(j, set()).add(i)
-        used = {}  # pivot row -> pivot column, in pivot order
-        for pc in sorted(where):
-            cands = where[pc].difference(used)
-            if not cands:
-                continue
-            p = min(cands, key=lambda i: (len(rows[i]), i))
-            prow = rows[p]
-            # inverted even when it is one: one inv per pivot, so the
-            # field-op counts do not depend on which row is the pivot
-            inv = f.inv(prow[pc])
-            if not f.is_one(inv):
-                prow = rows[p] = {j: f.mul(inv, a) for j, a in prow.items()}
-            for i in where[pc] - {p}:
-                row = rows[i]
-                c = f.neg(row[pc])
-                for j, a in prow.items():
-                    x = row.get(j)
-                    if x is None:
-                        row[j] = f.mul(c, a)
-                        where[j].add(i)
-                        continue
-                    x = f.add(x, f.mul(c, a))
-                    if f.is_zero(x):
-                        del row[j]
-                        where[j].discard(i)
-                    else:
-                        row[j] = x
-            used[p] = pc
-            if len(used) == len(rows):
-                break
-        out = [[f.zero] * self.ncols for _ in rows]
-        for r, p in enumerate(used):
-            for j, a in rows[p].items():
+        prows, pivots = eliminate(f, sparse_rows(f, self.rows))
+        out = [[f.zero] * self.ncols for _ in range(self.nrows)]
+        for r, row in enumerate(prows):
+            for j, a in row.items():
                 out[r][j] = a
-        self._rref = (Matrix(f, out), tuple(used.values()))
+        self._rref = (Matrix(f, out), pivots)
         return self._rref
 
     def rank(self):
@@ -242,24 +268,28 @@ class Matrix:
 
     def solve_matrix(self, rhs: "Matrix"):
         """One exact solution of ``self @ X = rhs`` (free variables 0), read
-        off one RREF of [self | rhs]; None if some column is inconsistent."""
+        off one elimination of [self | rhs]; None if some column is
+        inconsistent."""
         if rhs.nrows != self.nrows:
             raise UsageError(f"right-hand side has {rhs.nrows} rows, the matrix {self.nrows}")
+        f = self.field
         n = self.ncols
-        R, pivots = Matrix(self.field, [a + b for a, b in zip(self.rows, rhs.rows)]).rref()
+        prows, pivots = eliminate(f, sparse_rows(f, [a + b for a, b in zip(self.rows, rhs.rows)]))
         if pivots and pivots[-1] >= n:
             return None
-        X = Matrix.zeros(self.field, n, rhs.ncols)
-        for r, pc in enumerate(pivots):
-            X.rows[pc] = R.rows[r][n:]
+        X = Matrix.zeros(f, n, rhs.ncols)
+        for row, pc in zip(prows, pivots):
+            X.rows[pc] = [row.get(j, f.zero) for j in range(n, n + rhs.ncols)]
         return X
 
     def solve(self, rhs):
         """One exact solution of ``self @ x = rhs`` or None (free vars 0)."""
         if len(rhs) != self.nrows:
             raise UsageError(f"right-hand side has {len(rhs)} entries, the matrix {self.nrows} rows")
-        X = self.solve_matrix(Matrix(self.field, [[b] for b in rhs]))
-        return None if X is None else X.column(0)
+        f = self.field
+        n = self.ncols
+        sol = solve_rows(f, sparse_rows(f, [r + [b] for r, b in zip(self.rows, rhs)]), n)
+        return None if sol is None else [sol.get(j, f.zero) for j in range(n)]
 
     def inverse(self):
         if self.nrows != self.ncols:

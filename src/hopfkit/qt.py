@@ -12,7 +12,7 @@ Elements of H (x) H are TensorSquareElement values: a sparse coefficient
 grid over the host's flat tensor basis, with exact multiplication and
 inversion inside the algebra H (x) H.  Inversion first tries closed-form
 candidates (e.g. (S (x) id)(R)) confirmed by multiplication, then falls
-back to the regular-representation linear solve.
+back to the regular-representation linear solve, built as sparse rows.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .hopf import (
     tt_unit,
     _antipode_ok,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, solve_rows
 from .tensors import SparseTensor3
 
 
@@ -138,8 +138,10 @@ class TensorSquareElement:
         """Two-sided inverse in H (x) H or None.
 
         Closed-form candidates are tried first and confirmed by
-        multiplication; otherwise the dim^2 x dim^2 left-regular system
-        is solved exactly.
+        multiplication; otherwise the dim^2 x dim^2 left-regular system,
+        whose column (k, l) is self * (e_k (x) e_l), is built as sparse
+        rows and solved by ``solve_rows``; that right inverse is returned
+        only if it is a left inverse too.
         """
         one = tt_unit(self.host)
         for cand in candidates:
@@ -152,22 +154,18 @@ class TensorSquareElement:
                 return cand
         f = self.host.field
         d = self.host.dim
-        # column (k, l) of the left-regular matrix is self * (e_k (x) e_l)
-        L = Matrix.zeros(f, d * d, d * d)
+        n = d * d
+        rows = [{} for _ in range(n)]
         for k in range(d):
             for l in range(d):
-                for (m, n), v in tt_mul(self.host, self.coeffs, {(k, l): f.one}).items():
-                    L.rows[m * d + n][k * d + l] = v
-        rhs = [f.zero] * (d * d)
+                for (i, j), v in tt_mul(self.host, self.coeffs, {(k, l): f.one}).items():
+                    rows[i * d + j][k * d + l] = v
         for (i, j), v in one.items():
-            rhs[i * d + j] = v
-        sol = L.solve(rhs)
+            rows[i * d + j][n] = v
+        sol = solve_rows(f, rows, n)
         if sol is None:
             return None
-        inv = TensorSquareElement(
-            self.host,
-            {(i, j): sol[i * d + j] for i in range(d) for j in range(d)},
-        )
+        inv = TensorSquareElement(self.host, {divmod(col, d): v for col, v in sol.items()})
         if tt_mul(self.host, inv.coeffs, self.coeffs) != one:
             return None
         return inv

@@ -494,6 +494,35 @@ def test_canonical_r_builds_one_double(monkeypatch):
     assert built == [2]
 
 
+@pytest.mark.parametrize("obj, task, expected", [
+    ({"builder": "tensor", "left": "sweedler", "right": "Z2"}, "verify", 3),
+    ({"builder": "tensor", "left": "sweedler", "right": "Z2"}, "split", 3),
+    ({"builder": "double", "of": "Z2"}, "verify", 2),
+    ({"builder": "double", "of": "Z2"}, "qt", 2),
+])
+def test_each_subexpression_is_built_once(monkeypatch, split_input, obj, task, expected):
+    import hopfkit.catalog as catalog
+
+    built = []
+    real = catalog._build
+
+    def counted(field, spec, parts=None):
+        built.append(spec)
+        return real(field, spec, parts)
+
+    monkeypatch.setattr(catalog, "_build", counted)
+    if task == "split":
+        # the tensor_first projection reads the factors of the expression
+        task = {"task": "split", "path": "fullrank", "pi": "tensor_first",
+                "r": split_input[0].R.to_triples()}
+    elif task == "qt":
+        # the canonical R-matrix reads the double's base
+        task = {"task": "qt", "r": "canonical"}
+    report, code, _ = _run({"field": {"kind": "rationals"}, "object": obj, "tasks": [task]})
+    assert code == 0 and report["tasks"][0]["verdict"] == "pass"
+    assert len(built) == expected, built
+
+
 # ----------------------------------------------------------------------
 # malformed raw structures are input errors
 # ----------------------------------------------------------------------

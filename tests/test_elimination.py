@@ -5,6 +5,8 @@ solve, solve_matrix, inverse) is compared with the independent dense
 elimination in ``oracle.py`` over GF(7) and Q, and over Q also with
 sympy's ``Matrix.rref``.  Inputs are random sparse and dense systems up
 to about 12 x 15, tall and wide, with zero and duplicated rows mixed in.
+The sparse solve reader ``solve_rows`` is compared with ``Matrix.solve``
+over GF(7), Q and Q(z_3), and with the oracle where it has the field.
 """
 
 from fractions import Fraction
@@ -16,8 +18,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 import oracle  # noqa: E402
-from hopfkit.fields import PrimeField, Rationals  # noqa: E402
-from hopfkit.linalg import Matrix  # noqa: E402
+from hopfkit.fields import CyclotomicField, PrimeField, Rationals  # noqa: E402
+from hopfkit.linalg import Matrix, solve_rows  # noqa: E402
 
 FIELDS = {"gf7": (PrimeField(7), 7), "q": (Rationals(), None)}
 
@@ -116,3 +118,108 @@ def test_rref_matches_sympy_over_q(rows):
     assert pivots == tuple(s_pivots)
     assert R.rows == [[Fraction(int(c.p), int(c.q)) for c in s_rref.row(i)]
                       for i in range(s_rref.rows)]
+
+
+# ----------------------------------------------------------------------
+# the sparse solve reader
+# ----------------------------------------------------------------------
+
+SOLVE_FIELDS = dict(FIELDS, qz3=(CyclotomicField(3), None))
+solve_fields = pytest.mark.parametrize("field_key", sorted(SOLVE_FIELDS))
+
+
+def _solve_value(field_key, x):
+    """An integer as a value of the field; over Q(z_3) it is
+    x + (x mod 3 - 1) z, which is zero only at x = 0."""
+    field, p = SOLVE_FIELDS[field_key]
+    if field_key != "qz3":
+        return _value(p, x)
+    if x == 0:
+        return field.zero
+    return (Fraction(x), Fraction(x % 3 - 1))
+
+
+def _augmented(field, rows, rhs):
+    """Sparse rows of [rows | rhs], right-hand side in column len(rows[0])."""
+    n = len(rows[0]) if rows else 0
+    out = []
+    for r, b in zip(rows, rhs):
+        row = {j: a for j, a in enumerate(r) if not field.is_zero(a)}
+        if not field.is_zero(b):
+            row[n] = b
+        out.append(row)
+    return out
+
+
+def _assert_solve_agrees(field_key, values, rhs):
+    field, p = SOLVE_FIELDS[field_key]
+    M = Matrix(field, values)
+    n = M.ncols
+    got = solve_rows(field, _augmented(field, values, rhs), n)
+    want = M.solve(rhs)
+    if field_key != "qz3":
+        assert want == oracle.solve(p, values, rhs)
+    if want is None:
+        assert got is None
+        return None
+    assert all(0 <= j < n and not field.is_zero(a) for j, a in got.items())
+    assert [got.get(j, field.zero) for j in range(n)] == want
+    assert M.apply(want) == list(rhs)
+    return got
+
+
+@solve_fields
+@CHECK
+@given(data=st.data())
+def test_solve_rows_matches_solve(field_key, data):
+    field, _p = SOLVE_FIELDS[field_key]
+    rows = data.draw(integer_rows())
+    values = [[_solve_value(field_key, x) for x in r] for r in rows]
+    m, n = len(values), len(values[0])
+    kind = data.draw(st.sampled_from(["consistent", "random", "rhs only"]))
+    if kind == "consistent":
+        x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        rhs = Matrix(field, values).apply([_solve_value(field_key, c) for c in x])
+    else:
+        rhs = [_solve_value(field_key, c)
+               for c in data.draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))]
+    if kind == "rhs only":
+        # a zero row with a nonzero right-hand side: no solution
+        r = data.draw(st.integers(0, m - 1))
+        values[r] = [field.zero] * n
+        rhs[r] = _solve_value(field_key, data.draw(st.sampled_from([-2, -1, 1, 2])))
+    got = _assert_solve_agrees(field_key, values, rhs)
+    if kind == "consistent":
+        assert got is not None
+    if kind == "rhs only":
+        assert got is None
+
+
+@solve_fields
+def test_solve_rows_empty_rhs_only_and_inconsistent_rows(field_key):
+    field, _p = SOLVE_FIELDS[field_key]
+    one = field.one
+    two = field.add(one, one)
+    zero = field.zero
+    # no rows at all, and rows with no entry: every unknown is free
+    assert solve_rows(field, [], 3) == {}
+    assert solve_rows(field, [{}, {}], 3) == {}
+    # a homogeneous system has the zero solution, which is the empty dict
+    assert solve_rows(field, [{0: one, 1: two}, {}], 3) == {}
+    # a row holding only a right-hand side has no solution
+    assert solve_rows(field, [{0: one, 3: two}, {3: one}], 3) is None
+    # x0 = 1 and x0 = 2 have no common solution
+    assert solve_rows(field, [{0: one, 3: one}, {0: one, 3: two}], 3) is None
+    # x0 + x1 = 2, x1 = 1; the free x2 is 0 and left out
+    assert solve_rows(field, [{0: one, 1: one, 3: two}, {}, {1: one, 3: one}], 3) == \
+        {0: one, 1: one}
+    # and Matrix.solve agrees on each of them
+    cases = [
+        ([[zero] * 3] * 2, [zero, zero]),
+        ([[one, two, zero], [zero] * 3], [zero, zero]),
+        ([[one, zero, zero], [zero] * 3], [two, one]),
+        ([[one, zero, zero], [one, zero, zero]], [one, two]),
+        ([[one, one, zero], [zero] * 3, [zero, one, zero]], [two, zero, one]),
+    ]
+    for values, rhs in cases:
+        _assert_solve_agrees(field_key, values, rhs)

@@ -157,17 +157,24 @@ _CYCLOTOMIC_FIELDS = {n: CyclotomicField(n) for n in CYCLOTOMIC_INDICES}
 
 
 @st.composite
-def _cyclotomic_operands(draw):
+def _cyclotomic_operands(draw, indices=CYCLOTOMIC_INDICES, extra_kinds=()):
     """(field, a, b, c): operands that are the field's zero object, a
-    fresh zero tuple, rational, monomial or dense with mixed denominators."""
-    field = _CYCLOTOMIC_FIELDS[draw(st.sampled_from(CYCLOTOMIC_INDICES))]
+    fresh zero tuple, rational, monomial or dense with mixed denominators,
+    and, when ``extra_kinds`` names them, the field's one object ("one")
+    or an equal tuple built separately ("fresh one")."""
+    field = _CYCLOTOMIC_FIELDS[draw(st.sampled_from(indices))]
     d = field.degree
     coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 
     def element():
-        kind = draw(st.sampled_from(["zero", "fresh zero", "rational", "monomial", "dense"]))
+        kind = draw(st.sampled_from(["zero", "fresh zero", "rational", "monomial", "dense",
+                                     *extra_kinds]))
         if kind == "zero":
             return field.zero
+        if kind == "one":
+            return field.one
+        if kind == "fresh one":
+            return tuple(Fraction(int(i == 0)) for i in range(d))
         v = [Fraction(0)] * d
         if kind == "rational":
             v[0] = draw(coeff)
@@ -257,6 +264,41 @@ def test_cyclotomic_kernel_matches_sympy(operands):
     _same_value(field, field.mul(a, b), coords(sympy.rem(poly(a) * poly(b), phi, x)))
     if not field.is_zero(a):
         _same_value(field, field.inv(a), coords(sympy.invert(poly(a), phi, x)))
+
+
+# the differential tests above again, with one operands mixed in
+_WITH_ONE = _cyclotomic_operands(indices=[1, 2, 3, 5, 12], extra_kinds=("one", "fresh one"))
+
+
+@_KERNEL_SETTINGS
+@given(_WITH_ONE)
+def test_cyclotomic_kernel_matches_schoolbook_with_one_operands(operands):
+    test_cyclotomic_kernel_matches_schoolbook.hypothesis.inner_test(operands)
+
+
+@_KERNEL_SETTINGS
+@given(_WITH_ONE)
+def test_cyclotomic_kernel_inverse_with_one_operands(operands):
+    test_cyclotomic_kernel_inverse.hypothesis.inner_test(operands)
+
+
+@_KERNEL_SETTINGS
+@given(_WITH_ONE)
+def test_cyclotomic_kernel_matches_sympy_with_one_operands(operands):
+    test_cyclotomic_kernel_matches_sympy.hypothesis.inner_test(operands)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 12])
+def test_cyclotomic_one_shortcut_returns_the_operand(n):
+    field = CyclotomicField(n)
+    a = field.parse("1/2+z^3")
+    fresh_one = tuple(Fraction(int(i == 0)) for i in range(field.degree))
+    assert fresh_one == field.one and fresh_one is not field.one
+    for one in (field.one, fresh_one):
+        assert field.mul(one, a) is a
+        assert field.mul(a, one) is a
+        assert field.mul(one, field.zero) is field.zero
+        assert field.mul(one, one) == field.one
 
 
 def test_cyclotomic_zero_shortcuts_return_the_operand():
