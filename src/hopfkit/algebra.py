@@ -3,11 +3,16 @@
 An algebra is a multiplication tensor mu (e_i e_j = sum_k mu[i,j,k] e_k)
 plus the coordinate vector of the unit.  Everything downstream (axiom
 checks, centers, characters) is exact linear algebra over the chosen
-field.
+field.  Products contract through the sparse pair index
+(``AlgebraPresentation.product_terms``).  Every subspace computed here
+is read off the one sparse elimination, ``linalg.eliminate``: ideals and
+subalgebras by one semi-naive closure, ``span_closure``, and the center
+as the nullspace of a system built as sparse rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +20,7 @@ from . import gfpoly
 from .checks import Report
 from .errors import UsageError
 from .fields import CyclotomicField, PrimeField, Rationals
-from .linalg import Matrix, Subspace, unit_vector
+from .linalg import Matrix, Subspace, eliminate, nullspace_rows, sparse_rows, unit_vector
 from .tensors import SparseTensor3
 
 
@@ -166,66 +171,72 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
 
 def center(A: AlgebraPresentation) -> Subspace:
     """Solutions of [x, e_j] = 0 for every basis e_j, canonical RREF:
-    row j * d + k, column i of the system is mul[i,j,k] - mul[j,i,k]."""
+    row (j, k), column i of the system is mul[i,j,k] - mul[j,i,k], built
+    sparse from the pair index."""
     f = A.field
-    d = A.dim
-    rows = [[f.zero] * d for _ in range(d * d)]
+    rows = {}
     for (i, j), terms in A.mul.pair_index().items():
         for k, c in terms:
-            rows[j * d + k][i] = f.add(rows[j * d + k][i], c)
-            rows[i * d + k][j] = f.sub(rows[i * d + k][j], c)
-    return Subspace(f, d, Matrix(f, rows).nullspace())
+            row = rows.setdefault((j, k), {})
+            row[i] = f.add(row.get(i, f.zero), c)
+            row = rows.setdefault((i, k), {})
+            row[j] = f.sub(row.get(j, f.zero), c)
+    return Subspace(f, A.dim, nullspace_rows(f, sparse_rows(f, rows.values()), A.dim))
 
 
-def span_closure(A: AlgebraPresentation, vectors, left=True, right=True, include=()):
-    """Smallest subspace containing vectors closed under the requested
-    basis multiplications; terminates in at most dim steps."""
+def span_closure(A: AlgebraPresentation, vectors, kind) -> Subspace:
+    """Smallest subspace containing vectors that is a two-sided ideal
+    (kind "two-sided"), a left ideal ("left") or a subalgebra
+    ("subalgebra").
+
+    Semi-naive: the seeds are eliminated once as sparse rows; each round
+    multiplies only the rows whose pivot is new, by every basis element
+    on the sides of an ideal, or by every row in both orders for a
+    subalgebra, and eliminates the current rows with those products.  A
+    row with a new pivot is zero at every old pivot, so the old span and
+    the new rows together span the new space and the products of the old
+    span were taken in earlier rounds.  The first round with no new pivot
+    ends it, after at most dim rounds."""
     f = A.field
-    current = Subspace(f, A.dim, list(vectors) + [list(v) for v in include])
-    while True:
-        new_vecs = current.vectors()
-        added = []
-        for v in current.vectors():
-            for i in range(A.dim):
-                e_i = unit_vector(f, A.dim, i)
-                if left:
-                    added.append(A.product(e_i, v))
-                if right:
-                    added.append(A.product(v, e_i))
-        bigger = Subspace(f, A.dim, new_vecs + added)
-        if bigger.dim == current.dim:
-            return current
-        current = bigger
+    d = A.dim
+    product_terms = A.product_terms
+    basis = [[(i, f.one)] for i in range(d)]
+    rows, pivots = eliminate(f, sparse_rows(f, vectors))
+    new = rows
+    while new:
+        products = []
+        factors = basis if kind != "subalgebra" else [list(r.items()) for r in rows]
+        for row in new:
+            operand = list(row.items())
+            for factor in factors:
+                products.append(product_terms(factor, operand))
+                if kind != "left":
+                    products.append(product_terms(operand, factor))
+        old = set(pivots)
+        rows, pivots = eliminate(f, rows + sparse_rows(f, products))
+        new = [row for row, pc in zip(rows, pivots) if pc not in old]
+    return Subspace(f, d, [dense_vector(f, d, row) for row in rows])
 
 
 def two_sided_ideal(A: AlgebraPresentation, generators) -> Subspace:
-    return span_closure(A, generators, left=True, right=True)
+    return span_closure(A, generators, "two-sided")
 
 
 def left_ideal(A: AlgebraPresentation, generators) -> Subspace:
-    return span_closure(A, generators, left=True, right=False)
+    return span_closure(A, generators, "left")
 
 
-def subalgebra_closure(A: AlgebraPresentation, vectors, with_unit=True) -> Subspace:
-    f = A.field
-    seed = [list(v) for v in vectors]
-    if with_unit:
-        seed.append(list(A.unit))
-    current = Subspace(f, A.dim, seed)
-    while True:
-        vecs = current.vectors()
-        prods = [A.product(u, v) for u in vecs for v in vecs]
-        bigger = Subspace(f, A.dim, vecs + prods)
-        if bigger.dim == current.dim:
-            return current
-        current = bigger
+def subalgebra_closure(A: AlgebraPresentation, vectors) -> Subspace:
+    """The unital subalgebra generated by vectors."""
+    return span_closure(A, list(vectors) + [A.unit], "subalgebra")
 
 
 def quotient_algebra(A: AlgebraPresentation, ideal: Subspace):
     """Quotient by a two-sided ideal: (B, projection, section).
 
     The quotient basis is the set of non-pivot coordinates of the ideal's
-    RREF, the section lifts them coordinate-wise.
+    RREF, the section lifts them coordinate-wise.  Basis products are
+    read sparse off the pair index and projected column by column.
     """
     f = A.field
     comp = ideal.complement_indices()
@@ -240,21 +251,20 @@ def quotient_algebra(A: AlgebraPresentation, ideal: Subspace):
     section = Matrix.zeros(f, A.dim, qdim)
     for r, i in enumerate(comp):
         section.rows[i][r] = f.one
+    proj_columns = [nonzero_terms(f, proj.column(k)) for k in range(A.dim)]
     mul = SparseTensor3(f, (qdim, qdim, qdim))
     for s in range(qdim):
         for t in range(qdim):
-            prod = proj.apply(_basis_product_vec(A, comp[s], comp[t]))
-            for k, c in enumerate(prod):
-                if not f.is_zero(c):
-                    mul.set(s, t, k, c)
+            prod = {}
+            for k, c in A.basis_product(comp[s], comp[t]):
+                for r, p in proj_columns[k]:
+                    prod[r] = f.add(prod.get(r, f.zero), f.mul(c, p))
+            for r, c in sorted(prod.items()):
+                mul.set(s, t, r, c)
     unit = proj.apply(A.unit)
     names = [f"[{A.names[i]}]" for i in comp]
     B = AlgebraPresentation(f, qdim, mul, unit, names)
     return B, proj, section
-
-
-def _basis_product_vec(A, i, j):
-    return dense_vector(A.field, A.dim, dict(A.basis_product(i, j)))
 
 
 def abelianization(A: AlgebraPresentation):
@@ -271,7 +281,7 @@ def abelianization(A: AlgebraPresentation):
             comm[k] = f.sub(comm.get(k, f.zero), c)
         comm = dict(nonzero_terms(f, comm))
         if comm:
-            gens.append(dense_vector(f, A.dim, comm))
+            gens.append(comm)
     if not gens:
         return A, Matrix.identity(f, A.dim), Matrix.identity(f, A.dim)
     ideal = two_sided_ideal(A, gens)
@@ -297,10 +307,11 @@ def minimal_polynomial(M: Matrix):
     for _ in range(n):
         powers.append(powers[-1] @ M)
     stacked = Matrix.from_columns(f, [sum(P.rows, []) for P in powers])
-    return stacked.nullspace()[0][:stacked.rank() + 1]
+    null = stacked.nullspace()
+    return null[0][:stacked.ncols - len(null) + 1]
 
 
-def _rational_roots(poly):
+def _rational_roots(field, poly):
     """All roots in Q with multiplicity; complete by the rational root test."""
     roots = []
     f = list(poly)
@@ -310,9 +321,7 @@ def _rational_roots(poly):
         f = f[1:]
     while len(f) > 1:
         # integer-scale the polynomial
-        lcm = 1
-        for c in f:
-            lcm = lcm * c.denominator // _gcd_int(lcm, c.denominator)
+        lcm = math.lcm(*(c.denominator for c in f))
         g = [int(c * lcm) for c in f]
         a0, an = abs(g[0]), abs(g[-1])
         found = None
@@ -320,7 +329,7 @@ def _rational_roots(poly):
             for den in sorted(_divisors(an)):
                 for sgn in (1, -1):
                     cand = Fraction(sgn * num, den)
-                    if _poly_eval_frac(f, cand) == 0:
+                    if _poly_eval_field(field, f, cand) == 0:
                         found = cand
                         break
                 if found is not None:
@@ -330,14 +339,8 @@ def _rational_roots(poly):
         if found is None:
             break
         roots.append(found)
-        f = _deflate_frac(f, found)
+        f = _deflate_field(field, f, found)
     return roots, f
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):
@@ -352,22 +355,6 @@ def _divisors(n):
                 out.append(n // d)
         d += 1
     return sorted(out)
-
-
-def _poly_eval_frac(f, x):
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def _deflate_frac(f, root):
-    out = [Fraction(0)] * (len(f) - 1)
-    acc = Fraction(0)
-    for i in range(len(f) - 1, 0, -1):
-        acc = f[i] + acc * root
-        out[i - 1] = acc
-    return out
 
 
 def _poly_eval_field(field, f, x):
@@ -405,7 +392,7 @@ def field_roots(field, poly):
             cof = _deflate_field(field, cof, r)
         return flat, cof, True
     if isinstance(field, Rationals):
-        roots, cof = _rational_roots([Fraction(c) for c in poly])
+        roots, cof = _rational_roots(field, [Fraction(c) for c in poly])
         return roots, cof, True
     if isinstance(field, CyclotomicField):
         candidates = list(field.roots_of_unity())
@@ -465,9 +452,10 @@ def characters(A: AlgebraPresentation, supplied=None) -> CharacterList:
     obstructions = []
     all_split = True
 
+    # the transposed multiplication operators, one per basis element of B
+    transposed = [B.left_mult_matrix(unit_vector(f, B.dim, j)).transpose() for j in range(B.dim)]
     pieces = [Subspace.full(f, B.dim)]
-    for j in range(B.dim):
-        Mt = B.left_mult_matrix(unit_vector(f, B.dim, j)).transpose()
+    for Mt in transposed:
         new_pieces = []
         for W in pieces:
             if W.dim == 0:
@@ -503,24 +491,18 @@ def characters(A: AlgebraPresentation, supplied=None) -> CharacterList:
             continue
         w = W.vectors()[0]
         chi_B = []
-        consistent = True
-        for j in range(B.dim):
-            Mt = B.left_mult_matrix(unit_vector(f, B.dim, j)).transpose()
-            img = Mt.apply(w)
-            lam = None
-            for a, b in zip(img, w):
+        for Mt in transposed:
+            lam = f.zero
+            for a, b in zip(Mt.apply(w), w):
                 if not f.is_zero(b):
                     lam = f.div(a, b)
                     break
-            if lam is None:
-                lam = f.zero
             chi_B.append(lam)
         # pull back along the abelianization projection
         chi = proj.transpose().apply(chi_B)
-        if _is_character(A, chi):
+        consistent = _is_character(A, chi)
+        if consistent:
             found.append(chi)
-        else:
-            consistent = False
         rep.add(f"piece dim {W.dim} yields a character", consistent)
     uniq = []
     for chi in found:

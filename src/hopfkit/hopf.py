@@ -31,11 +31,12 @@ from .algebra import (
     nonzero_terms,
     quotient_algebra,
     same_vector,
+    subalgebra_closure,
     verify_algebra,
 )
 from .checks import Report
 from .errors import StructureError, UsageError
-from .linalg import Matrix, Subspace, solve_rows, unit_vector
+from .linalg import Matrix, Subspace, nullspace_rows, solve_rows, sparse_rows, unit_vector
 from .tensors import SparseTensor3
 
 # ----------------------------------------------------------------------
@@ -681,19 +682,18 @@ def coinvariant_space(field, dim, basis_comul, pi: HopfMorphism, side: str) -> S
     P = pi.matrix
     unit_K = pi.target.unit
     kd = len(unit_K)
-    rows = [[f.zero] * dim for _ in range(dim * kd)]
+    pushed_column = [nonzero_terms(f, P.column(k)) for k in range(dim)]
+    rows = {}
     for i in range(dim):
         for (j, k, c) in basis_comul(i):
             kept, pushed = (j, k) if side == "right" else (k, j)
-            for b in range(kd):
-                p = P.rows[b][pushed]
-                if not f.is_zero(p):
-                    row = rows[kept * kd + b]
-                    row[i] = f.add(row[i], f.mul(c, p))
+            for b, p in pushed_column[pushed]:
+                row = rows.setdefault(kept * kd + b, {})
+                row[i] = f.add(row.get(i, f.zero), f.mul(c, p))
         for b in range(kd):
-            row = rows[i * kd + b]
-            row[i] = f.sub(row[i], unit_K[b])
-    return Subspace(f, dim, Matrix(f, rows).nullspace())
+            row = rows.setdefault(i * kd + b, {})
+            row[i] = f.sub(row.get(i, f.zero), unit_K[b])
+    return Subspace(f, dim, nullspace_rows(f, sparse_rows(f, rows.values()), dim))
 
 
 def is_normal_left_coideal_subalgebra(H: HopfAlgebra, L: Subspace) -> Report:
@@ -781,8 +781,9 @@ def quotient_by_coideal(H: HopfAlgebra, L: Subspace) -> QuotientData:
 
     # two-sidedness, coideal property, counit vanishing, S-stability
     for v in ideal.vectors():
+        operand = nonzero_terms(f, v)
         for i in range(d):
-            if not ideal.contains(H.algebra.product(v, unit_vector(f, d, i))):
+            if not ideal.contains(dense_vector(f, d, H.algebra.product_terms(operand, [(i, f.one)]))):
                 raise StructureError("ideal is not right-stable", witness={"vector": v, "basis": H.names[i]})
         if not f.is_zero(H.counit_of(v)):
             raise StructureError("counit does not vanish on the ideal", witness={"vector": v})
@@ -823,25 +824,21 @@ def quotient_by_coideal(H: HopfAlgebra, L: Subspace) -> QuotientData:
 
 
 def skew_primitive_space(H: HopfAlgebra, g, h) -> Subspace:
-    """Solutions of Delta(v) = v (x) g + h (x) v for group-likes g, h."""
+    """Solutions of Delta(v) = v (x) g + h (x) v for group-likes g, h:
+    row (j, k), column i of the system is the (j, k) coefficient of
+    Delta(e_i) - e_i (x) g - h (x) e_i, built sparse from the coproduct
+    index."""
     f = H.field
     d = H.dim
+    minus_g = [(k, f.neg(a)) for k, a in nonzero_terms(f, g)]
+    minus_h = [(j, f.neg(a)) for j, a in nonzero_terms(f, h)]
     rows = {}
     for i in range(d):
-        for (j, k, c) in H.basis_comul(i):
-            rows.setdefault((j, k), [f.zero] * d)[i] = f.add(
-                rows.setdefault((j, k), [f.zero] * d)[i], c
-            )
-    eqs = []
-    keys = set(rows)
-    for j in range(d):
-        for k in range(d):
-            if not (f.is_zero(g[k]) and f.is_zero(h[j])) or (j, k) in keys:
-                row = list(rows.get((j, k), [f.zero] * d))
-                row[j] = f.sub(row[j], g[k])
-                row[k] = f.sub(row[k], h[j])
-                eqs.append(row)
-    return Subspace(f, d, Matrix(f, eqs).nullspace())
+        terms = H.basis_comul(i) + [(i, k, a) for k, a in minus_g] + [(j, i, a) for j, a in minus_h]
+        for (j, k, c) in terms:
+            row = rows.setdefault((j, k), {})
+            row[i] = f.add(row.get(i, f.zero), c)
+    return Subspace(f, d, nullspace_rows(f, sparse_rows(f, rows.values()), d))
 
 
 def _iso_scalar_grid(field):
@@ -920,7 +917,7 @@ def find_hopf_isomorphism(A: HopfAlgebra, B: HopfAlgebra, grid=None):
     for g, o in nontrivial:
         gens.append(g)
         gen_kinds.append(("grouplike", o))
-    span = subalgebra_closure_of(A, gens)
+    span = subalgebra_closure(A.algebra, gens)
     if span.dim < A.dim:
         pairs = [(g, h) for g in glA.elements for h in glA.elements]
         for g, h in pairs:
@@ -929,7 +926,7 @@ def find_hopf_isomorphism(A: HopfAlgebra, B: HopfAlgebra, grid=None):
                 if not span.contains(v):
                     gens.append(v)
                     gen_kinds.append(("skew", (glA.elements.index(g), glA.elements.index(h))))
-                    span = subalgebra_closure_of(A, gens)
+                    span = subalgebra_closure(A.algebra, gens)
                     if span.dim == A.dim:
                         break
             if span.dim == A.dim:
@@ -988,12 +985,6 @@ def _solve_change_of_basis(word_matrix: Matrix, img_matrix: Matrix):
     """M with M @ word_matrix = img_matrix, from word_matrix^T M^T = img_matrix^T."""
     Mt = word_matrix.transpose().solve_matrix(img_matrix.transpose())
     return None if Mt is None else Mt.transpose()
-
-
-def subalgebra_closure_of(H: HopfAlgebra, vectors) -> Subspace:
-    from .algebra import subalgebra_closure
-
-    return subalgebra_closure(H.algebra, vectors, with_unit=True)
 
 
 # ----------------------------------------------------------------------

@@ -3,15 +3,18 @@
 Matrices are dense row-major grids of canonical field values; elimination
 is sparse.  ``eliminate`` is the one elimination routine, a Gauss-Jordan
 over rows held as {column: nonzero} dicts that takes the sparsest
-candidate as pivot row, and ``solve_rows`` reads one solution of an
-augmented system off it.  Callers with a large sparse system (the
-antipode, the regular-representation inverse in H (x) H) build its rows
-as dicts and call these directly, never a dense matrix.  The pivot
-columns are taken in increasing order (lowest column index first), so
-the RREF, its pivot tuple and the quotient bases, nullspaces and
-subspace normal forms read off it are deterministic and reproducible.
-``Matrix.rref``, ``solve`` and ``solve_matrix`` are thin dense wrappers
-of the two; ``inverse`` and ``nullspace`` read them.
+candidate as pivot row; ``solve_rows`` reads one solution of an
+augmented system off it and ``nullspace_rows`` the canonical nullspace
+basis.  Callers with a large sparse system (the antipode, the
+regular-representation inverse in H (x) H, the center, coinvariant and
+skew-primitive systems, the closures of ideals and subalgebras) build
+its rows as dicts and call these directly, never a dense matrix.  The
+pivot columns are taken in increasing order (lowest column index
+first), so the RREF, its pivot tuple and the quotient bases, nullspaces
+and subspace normal forms read off it are deterministic and
+reproducible.  ``Matrix.rref``, ``solve``, ``solve_matrix`` and
+``nullspace`` are thin dense wrappers of the three; ``inverse`` reads
+``solve_matrix``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,10 @@ def unit_vector(field, n, i):
 
 
 def sparse_rows(field, rows):
-    """Dense rows as {column: nonzero} dicts."""
-    return [{j: a for j, a in enumerate(r) if not field.is_zero(a)} for r in rows]
+    """Rows, dense or as {column: value} dicts, as {column: nonzero} dicts."""
+    is_zero = field.is_zero
+    return [{j: a for j, a in (r.items() if isinstance(r, dict) else enumerate(r))
+             if not is_zero(a)} for r in rows]
 
 
 def eliminate(field, rows):
@@ -93,6 +98,22 @@ def solve_rows(field, rows, n):
     if pivots and pivots[-1] >= n:
         return None
     return {pc: row[n] for row, pc in zip(prows, pivots) if n in row}
+
+
+def nullspace_rows(field, rows, n):
+    """Canonical nullspace basis of the system whose sparse rows have n
+    columns, read off one ``eliminate``: one dense vector per free column
+    in increasing order, with that coordinate one and each pivot
+    coordinate the negated entry of its pivot row in that column."""
+    f = field
+    prows, pivots = eliminate(f, rows)
+    pivot_set = set(pivots)
+    basis = {fc: unit_vector(f, n, fc) for fc in range(n) if fc not in pivot_set}
+    for row, pc in zip(prows, pivots):
+        for j, a in row.items():
+            if j != pc:
+                basis[j][pc] = f.neg(a)
+    return list(basis.values())
 
 
 class Matrix:
@@ -253,18 +274,7 @@ class Matrix:
     def nullspace(self):
         """Canonical nullspace basis, one vector per free column in
         increasing column order (free coordinate set to one)."""
-        f = self.field
-        R, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [j for j in range(self.ncols) if j not in pivot_set]
-        basis = []
-        for fc in free:
-            v = [f.zero] * self.ncols
-            v[fc] = f.one
-            for r, pc in enumerate(pivots):
-                v[pc] = f.neg(R.rows[r][fc])
-            basis.append(v)
-        return basis
+        return nullspace_rows(self.field, sparse_rows(self.field, self.rows), self.ncols)
 
     def solve_matrix(self, rhs: "Matrix"):
         """One exact solution of ``self @ X = rhs`` (free variables 0), read

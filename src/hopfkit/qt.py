@@ -366,7 +366,11 @@ class Twist:
 
 def verify_twist(H: HopfAlgebra, J: TensorSquareElement, inverse_candidates=()) -> Twist:
     """Normalization (eps on either leg gives 1) and the 2-cocycle identity
-    (Delta x id)(J)(J x 1) = (id x Delta)(J)(1 x J), all exact."""
+    (J x 1)(Delta x id)(J) = (1 x J)(id x Delta)(J), all exact.
+
+    This is the identity for the twisted coproduct J Delta J^-1 that
+    apply_twist forms; an R-matrix R passes it, with Delta^R = Delta^cop,
+    and R^-1 in general does not."""
     f = H.field
     rep = Report()
     jinv = J.inverse(candidates=inverse_candidates)
@@ -380,8 +384,8 @@ def verify_twist(H: HopfAlgebra, J: TensorSquareElement, inverse_candidates=()) 
         right[i] = f.add(right[i], f.mul(H.counit[j], v))
     rep.add("(eps x id)(J) = 1", left == H.unit)
     rep.add("(id x eps)(J) = 1", right == H.unit)
-    lhs = t3_mul(H, comul_leg(H, J.coeffs, 0), t3_embed(f, J.coeffs, (0, 1), H.unit))
-    rhs = t3_mul(H, comul_leg(H, J.coeffs, 1), t3_embed(f, J.coeffs, (1, 2), H.unit))
+    lhs = t3_mul(H, t3_embed(f, J.coeffs, (0, 1), H.unit), comul_leg(H, J.coeffs, 0))
+    rhs = t3_mul(H, t3_embed(f, J.coeffs, (1, 2), H.unit), comul_leg(H, J.coeffs, 1))
     rep.add("2-cocycle identity", lhs == rhs)
     return Twist(H, J, jinv, rep, rep.ok)
 

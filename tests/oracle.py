@@ -125,6 +125,94 @@ def solve(p, rows, rhs):
 
 
 # ----------------------------------------------------------------------
+# subspaces of an algebra: schoolbook closures and dense systems
+# ----------------------------------------------------------------------
+
+def product(raw, u, v):
+    """Dense product of two dense vectors from the raw constants."""
+    p = raw["p"]
+    out = [s_zero(p)] * raw["dim"]
+    for (i, j, k), c in raw["mul"].items():
+        if u[i] != s_zero(p) and v[j] != s_zero(p):
+            out[k] = s_add(p, out[k], s_mul(p, s_mul(p, u[i], v[j]), c))
+    return out
+
+
+def closure(raw, seeds, kind):
+    """RREF basis of the smallest two-sided ideal, left ideal or unital
+    subalgebra containing the seeds, by a schoolbook fixpoint: every
+    basis row is multiplied by every basis element (by every basis row,
+    for the subalgebra) until the rank stops growing."""
+    p = raw["p"]
+    d = raw["dim"]
+    units = [[s_one(p) if i == j else s_zero(p) for j in range(d)] for i in range(d)]
+    rows = [list(v) for v in seeds] + ([list(raw["unit"])] if kind == "subalgebra" else [])
+    basis = [r for r in rref(p, rows)[0] if any(x != s_zero(p) for x in r)]
+    while True:
+        factors = basis if kind == "subalgebra" else units
+        grown = list(basis)
+        for u in basis:
+            for e in factors:
+                grown.append(product(raw, e, u))
+                if kind != "left":
+                    grown.append(product(raw, u, e))
+        bigger = [r for r in rref(p, grown)[0] if any(x != s_zero(p) for x in r)]
+        if len(bigger) == len(basis):
+            return basis
+        basis = bigger
+
+
+def subspace_basis(p, vectors):
+    """Nonzero RREF rows of the span of vectors."""
+    return [r for r in rref(p, vectors)[0] if any(x != s_zero(p) for x in r)]
+
+
+def center_system(raw):
+    """Rows (j, k), columns i: mul[i,j,k] - mul[j,i,k]."""
+    p = raw["p"]
+    d = raw["dim"]
+    rows = [[s_zero(p)] * d for _ in range(d * d)]
+    for (i, j, k), c in raw["mul"].items():
+        rows[j * d + k][i] = s_add(p, rows[j * d + k][i], c)
+        rows[i * d + k][j] = s_add(p, rows[i * d + k][j], s_neg(p, c))
+    return rows
+
+
+def skew_primitive_system(raw, g, h):
+    """Rows (j, k), columns i: the (j, k) coefficient of
+    Delta(e_i) - e_i (x) g - h (x) e_i."""
+    p = raw["p"]
+    d = raw["dim"]
+    rows = [[s_zero(p)] * d for _ in range(d * d)]
+    for (i, j, k), c in raw["comul"].items():
+        rows[j * d + k][i] = s_add(p, rows[j * d + k][i], c)
+    for j in range(d):
+        for k in range(d):
+            rows[j * d + k][j] = s_add(p, rows[j * d + k][j], s_neg(p, g[k]))
+            rows[j * d + k][k] = s_add(p, rows[j * d + k][k], s_neg(p, h[j]))
+    return rows
+
+
+def coinvariant_system(raw, P, unit_k, side):
+    """Rows (kept leg, b), columns i of (id x pi) Delta(h) = h (x) 1
+    (right) or (pi x id) Delta(h) = 1 (x) h (left) for the dense matrix
+    P of pi."""
+    p = raw["p"]
+    d = raw["dim"]
+    kd = len(unit_k)
+    rows = [[s_zero(p)] * d for _ in range(d * kd)]
+    for (i, j, k), c in raw["comul"].items():
+        kept, pushed = (j, k) if side == "right" else (k, j)
+        for b in range(kd):
+            r = rows[kept * kd + b]
+            r[i] = s_add(p, r[i], s_mul(p, c, P[b][pushed]))
+    for i in range(d):
+        for b in range(kd):
+            rows[i * kd + b][i] = s_add(p, rows[i * kd + b][i], s_neg(p, unit_k[b]))
+    return rows
+
+
+# ----------------------------------------------------------------------
 # sparse tensor arithmetic on raw constants
 # ----------------------------------------------------------------------
 

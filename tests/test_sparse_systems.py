@@ -1,16 +1,18 @@
-"""The d^2-sized linear systems, the antipode solve and the
-regular-representation inverse in H (x) H, are built as sparse rows: no
-dense d^2 x d^2 matrix is ever made, and the inverse found without a
-closed-form candidate is the one the candidates give."""
+"""The d^2-sized linear systems, the antipode solve, the
+regular-representation inverse in H (x) H and the center, coinvariant
+and skew-primitive systems, are built as sparse rows: no dense system
+is ever made, and the inverse found without a closed-form candidate is
+the one the candidates give."""
 
 import json
 from pathlib import Path
 
 import pytest
 
-from hopfkit import TensorSquareElement, taft
+from hopfkit import HopfMorphism, TensorSquareElement, taft
+from hopfkit.algebra import center
 from hopfkit.fields import CyclotomicField, Rationals
-from hopfkit.hopf import solve_antipode, tt_mul, tt_unit
+from hopfkit.hopf import coinvariant_space, skew_primitive_space, solve_antipode, tt_mul, tt_unit
 from hopfkit.linalg import Matrix
 from hopfkit.qt import antipode_leg_candidates
 from hopfkit.report import hopf_from_json
@@ -82,3 +84,18 @@ def test_fallback_inverse_of_a_singular_element_is_none(h4, double_h4):
     assert zero_divisor.inverse() is None
     assert TensorSquareElement(h4, {}).inverse() is None
     assert TensorSquareElement(double_h4.hopf, {}).inverse() is None
+
+
+def test_center_coinvariants_and_skew_primitives_build_no_dense_system(matrix_shapes, double_h4):
+    H = double_h4.hopf
+    f = H.field
+    d = H.dim
+    assert d == 16
+    pi = HopfMorphism(H, H, Matrix.identity(f, d))
+    del matrix_shapes[:]
+    assert center(H.algebra).dim >= 1
+    for side in ("right", "left"):
+        assert coinvariant_space(f, d, H.basis_comul, pi, side).dim == 1
+    assert skew_primitive_space(H, H.unit, H.unit).dim == 0
+    assert matrix_shapes
+    assert max(r for r, _ in matrix_shapes) <= d
