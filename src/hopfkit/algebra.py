@@ -8,6 +8,10 @@ field.  Products contract through the sparse pair index
 is read off the one sparse elimination, ``linalg.eliminate``: ideals and
 subalgebras by one semi-naive closure, ``span_closure``, and the center
 as the nullspace of a system built as sparse rows.
+
+``multiplicativity_failure`` is the one check that a linear map is
+multiplicative on every basis pair; the comultiplication and counit of
+verify_hopf, Hopf maps, characters and the braided maps all read it.
 """
 
 from __future__ import annotations
@@ -167,6 +171,36 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
             break
     rep.add("associativity", ok, witness)
     return rep
+
+
+def multiplicativity_failure(field, pairs, images, product):
+    """First basis pair (i, j), in increasing order, with F(e_i e_j)
+    unequal to product(F(e_i), F(e_j)), or None.
+
+    pairs is the source multiplication's pair index, images[k] = F(e_k)
+    is a sparse dict (a scalar-valued map keys its nonzero values by (),
+    see scalar_images) and product multiplies two images."""
+    mul, add, zero = field.mul, field.add, field.zero
+    d = len(images)
+    for i in range(d):
+        for j in range(d):
+            lhs = {}
+            for k, c in pairs.get((i, j), ()):
+                for t, x in images[k].items():
+                    lhs[t] = add(lhs.get(t, zero), mul(c, x))
+            if not same_vector(field, lhs, product(images[i], images[j])):
+                return i, j
+    return None
+
+
+def scalar_images(field, values):
+    """The values of a scalar-valued map as multiplicativity_failure
+    images, each nonzero value keyed by (), and the product of two such
+    images."""
+    def product(x, y):
+        return {(): field.mul(x[()], y[()])} if x and y else {}
+
+    return [{(): v} if not field.is_zero(v) else {} for v in values], product
 
 
 def center(A: AlgebraPresentation) -> Subspace:
@@ -516,15 +550,9 @@ def characters(A: AlgebraPresentation, supplied=None) -> CharacterList:
 
 def _is_character(A, chi):
     f = A.field
-    one = f.sum(f.mul(c, u) for c, u in zip(chi, A.unit))
-    if not f.is_one(one):
+    if not f.is_one(f.sum(f.mul(c, u) for c, u in zip(chi, A.unit))):
         return False
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = f.sum(f.mul(c, chi[k]) for k, c in A.basis_product(i, j))
-            if lhs != f.mul(chi[i], chi[j]):
-                return False
-    return True
+    return multiplicativity_failure(f, A.mul.pair_index(), *scalar_images(f, chi)) is None
 
 
 def _matrix_power(M: Matrix, e: int) -> Matrix:

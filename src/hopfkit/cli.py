@@ -222,6 +222,9 @@ def _resolve_pi(field, ctx: _ObjectContext, pispec) -> HopfMorphism:
         extra = set(pispec) - {"kind", "target", "rows"}
         if extra:
             raise UsageError(f"unknown projection keys {sorted(extra)}")
+        missing = {"target", "rows"} - set(pispec)
+        if missing:
+            raise UsageError(f"projection kind 'matrix' is missing keys {sorted(missing)}")
         target_ctx = resolve_object(field, pispec["target"])
         M = matrix_from_json(field, pispec["rows"])
         return HopfMorphism(H, target_ctx.hopf, M)

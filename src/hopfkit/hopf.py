@@ -17,6 +17,11 @@ a singular system makes it None ("no antipode") rather than raising.  No
 verifier writes it, and ``antipode_source`` records which it was:
 "given", "computed" (by that solve, also when it found none), or None
 while it is not yet determined.
+
+``comultiplicativity_failure`` is the one check that a linear map
+intertwines two coproducts on every basis element, read by
+verify_morphism and the braided maps; its multiplicative twin is
+``algebra.multiplicativity_failure``.
 """
 
 from __future__ import annotations
@@ -28,9 +33,11 @@ from .algebra import (
     center,
     dense_vector,
     left_ideal,
+    multiplicativity_failure,
     nonzero_terms,
     quotient_algebra,
     same_vector,
+    scalar_images,
     subalgebra_closure,
     verify_algebra,
 )
@@ -353,6 +360,17 @@ def coassociativity_failure(field, dim, basis_comul):
     return None
 
 
+def comultiplicativity_failure(field, basis_comul, M, comul_of):
+    """First basis index i with (M x M) Delta(e_i) unequal to
+    comul_of(M e_i), or None; basis_comul lists the source coproduct as in
+    antipode_failure and comul_of is the target coproduct of a dense vector."""
+    for i in range(M.ncols):
+        lhs = tt_apply(field, {(j, k): c for (j, k, c) in basis_comul(i)}, M, M)
+        if not same_vector(field, lhs, comul_of(M.column(i))):
+            return i
+    return None
+
+
 def counit_failure(field, basis_comul, counit):
     """First basis index i with (eps x id) Delta(e_i) or (id x eps) Delta(e_i)
     unequal to e_i, or None; basis_comul as in antipode_failure."""
@@ -388,34 +406,14 @@ def verify_hopf(H: HopfAlgebra) -> Report:
 
     ok = H.comul_of(H.unit) == tt_unit(H)
     rep.add("comultiplication of the unit", ok)
-    ok, wit = True, None
-    deltas = [dict(_basis_tt(H, i)) for i in range(d)]
-    for i in range(d):
-        for j in range(d):
-            lhs = {}
-            for (k, c) in H.algebra.basis_product(i, j):
-                for (p, q, c2) in H.basis_comul(k):
-                    _put(f, lhs, (p, q), f.mul(c, c2))
-            rhs = tt_mul(H, deltas[i], deltas[j])
-            if lhs != rhs:
-                ok, wit = False, {"pair": (H.names[i], H.names[j])}
-                break
-        if not ok:
-            break
-    rep.add("comultiplication is an algebra map", ok, wit)
+    pairs = H.mul.pair_index()
+    deltas = [{(j, k): c for (j, k, c) in H.basis_comul(i)} for i in range(d)]
+    bad = multiplicativity_failure(f, pairs, deltas, lambda x, y: tt_mul(H, x, y))
+    rep.add("comultiplication is an algebra map", bad is None, _pair_witness(H, bad))
 
     ok = f.is_one(H.counit_of(H.unit))
-    wit = None
-    if ok:
-        for i in range(d):
-            for j in range(d):
-                lhs = f.sum(f.mul(c, H.counit[k]) for (k, c) in H.algebra.basis_product(i, j))
-                if lhs != f.mul(H.counit[i], H.counit[j]):
-                    ok, wit = False, {"pair": (H.names[i], H.names[j])}
-                    break
-            if not ok:
-                break
-    rep.add("counit is an algebra map", ok, wit)
+    bad = multiplicativity_failure(f, pairs, *scalar_images(f, H.counit)) if ok else None
+    rep.add("counit is an algebra map", ok and bad is None, _pair_witness(H, bad))
 
     S = H.antipode
     if S is None:
@@ -427,8 +425,9 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     return rep
 
 
-def _basis_tt(H, i):
-    return [((j, k), c) for (j, k, c) in H.basis_comul(i)]
+def _pair_witness(H, bad):
+    """The report witness of a failing basis pair (i, j), or None."""
+    return None if bad is None else {"pair": (H.names[bad[0]], H.names[bad[1]])}
 
 
 # ----------------------------------------------------------------------
@@ -483,30 +482,13 @@ def verify_morphism(fmor: HopfMorphism) -> Report:
     f = A.field
     rep.add("sends unit to unit", M.apply(A.unit) == B.unit)
 
-    ok, wit = True, None
-    images = sparse_columns(M)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = {}
-            for (k, c) in A.algebra.basis_product(i, j):
-                for t, x in images[k]:
-                    lhs[t] = f.add(lhs.get(t, f.zero), f.mul(c, x))
-            rhs = B.algebra.product_terms(images[i], images[j])
-            if not same_vector(f, lhs, rhs):
-                ok, wit = False, {"pair": (A.names[i], A.names[j])}
-                break
-        if not ok:
-            break
-    rep.add("multiplicative", ok, wit)
+    images = [dict(col) for col in sparse_columns(M)]
+    bad = multiplicativity_failure(f, A.mul.pair_index(), images,
+                                   lambda x, y: B.algebra.product_terms(x.items(), y.items()))
+    rep.add("multiplicative", bad is None, _pair_witness(A, bad))
 
-    ok, wit = True, None
-    for i in range(A.dim):
-        lhs = tt_apply(f, dict(_basis_tt(A, i)), M, M)
-        rhs = B.comul_of(M.column(i))
-        if lhs != rhs:
-            ok, wit = False, {"basis": A.names[i]}
-            break
-    rep.add("comultiplicative", ok, wit)
+    bad = comultiplicativity_failure(f, A.basis_comul, M, B.comul_of)
+    rep.add("comultiplicative", bad is None, None if bad is None else {"basis": A.names[bad]})
 
     ok, wit = True, None
     for i in range(A.dim):
@@ -800,7 +782,7 @@ def quotient_by_coideal(H: HopfAlgebra, L: Subspace) -> QuotientData:
     comul = SparseTensor3(f, (qd, qd, qd))
     comp = ideal.complement_indices()
     for t in range(qd):
-        img = tt_apply(f, dict(_basis_tt(H, comp[t])), proj, proj)
+        img = tt_apply(f, {(j, k): c for (j, k, c) in H.basis_comul(comp[t])}, proj, proj)
         for (j, k), v in sorted(img.items()):
             comul.set(t, j, k, v)
     counit = [H.counit[i] for i in comp]

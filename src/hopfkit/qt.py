@@ -19,17 +19,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import AlgebraPresentation, dense_vector, nonzero_terms, same_vector, verify_algebra
+from .algebra import (
+    AlgebraPresentation,
+    dense_vector,
+    multiplicativity_failure,
+    nonzero_terms,
+    same_vector,
+    verify_algebra,
+)
 from .checks import Report
 from .errors import PreconditionError, UsageError
 from .fields import parse_scalar
 from .hopf import (
     HopfAlgebra,
     HopfMorphism,
+    _pair_witness,
     _put,
     antipode_failure,
     coassociativity_failure,
     coinvariant_space,
+    comultiplicativity_failure,
     comul_image,
     comul_leg,
     counit_failure,
@@ -74,7 +83,7 @@ class TensorSquareElement:
         coeffs = {}
         for item in triples:
             if not (isinstance(item, (list, tuple)) and len(item) == 3
-                    and all(isinstance(x, int) for x in item[:2])):
+                    and all(isinstance(x, int) and not isinstance(x, bool) for x in item[:2])):
                 raise UsageError(f"tensor entry {item!r} must be [i, j, scalar]")
             i, j, c = item
             if not (0 <= i < d and 0 <= j < d):
@@ -286,13 +295,9 @@ def phi_maps(Q: QTStructure, pi: HopfMorphism = None) -> PhiMaps:
 
 
 def is_factorizable(Q: QTStructure) -> bool:
-    """rank of the monodromy pairing equals the dimension; the flipped
-    variant is asserted to agree as a consistency check."""
-    maps = phi_maps(Q)
-    r1, r2 = maps.phi.rank(), maps.phi_flip.rank()
-    if r1 != r2:
-        raise AssertionError("rank(Phi) != rank(Phi flipped); broken invariant")
-    return r1 == Q.hopf.dim
+    """rank of the monodromy pairing equals the dimension (the rank of
+    the flipped pairing, its transpose, is the same)."""
+    return monodromy(Q).to_matrix().rank() == Q.hopf.dim
 
 
 @dataclass
@@ -305,11 +310,12 @@ class LRMaps:
     self_test: Report = None
 
 
-def lr_maps(Q: QTStructure, pi: HopfMorphism = None, run_self_test: bool = True) -> LRMaps:
+def lr_maps(Q: QTStructure, pi: HopfMorphism = None) -> LRMaps:
     """l(f) = (f (x) id)(R) and r(f) = (id (x) f)(R) as matrices from dual
-    coordinates; full rank means l is surjective onto H.  The standard
-    commutation identity (f_(1) -> h) l(f_(2)) = l(f_(1)) (h <- f_(2)) is
-    evaluated on all basis pairs as a self-test."""
+    coordinates (precomposed with pi when given); full rank means l is
+    surjective onto H.  Without pi, the standard commutation identity
+    (f_(1) -> h) l(f_(2)) = l(f_(1)) (h <- f_(2)) is evaluated on all
+    basis pairs as a self-test."""
     H = Q.hopf
     f = H.field
     Rm = Q.R.to_matrix()
@@ -323,7 +329,7 @@ def lr_maps(Q: QTStructure, pi: HopfMorphism = None, run_self_test: bool = True)
     image_r = Subspace(f, H.dim, [r.column(j) for j in range(r.ncols)])
     full = image_l.dim == H.dim
     self_test = None
-    if run_self_test and pi is None:
+    if pi is None:
         self_test = Report()
         ok, wit = True, None
         d = H.dim
@@ -724,7 +730,6 @@ def _verify_braided(data: BraidedHopfData) -> Report:
     f = H.field
     d = H.dim
     rep = Report()
-    idx = data.braided_comul.first_index()
 
     bad = counit_failure(f, data.basis_braided_comul, H.counit)
     rep.add("braided counit law", bad is None, None if bad is None else {"basis": H.names[bad]})
@@ -735,24 +740,11 @@ def _verify_braided(data: BraidedHopfData) -> Report:
     rep.add("braided coproduct of the unit",
             data.braided_comul_of(H.unit) == tt_unit(H))
 
-    ok, wit = True, None
-    for s in range(d):
-        for t in range(d):
-            lhs = {}
-            for (k, c) in H.algebra.basis_product(s, t):
-                for (j, q, c2) in idx.get(k, []):
-                    _put(f, lhs, (j, q), f.mul(c, c2))
-            rhs = braided_tensor_product(
-                data,
-                dict(((j, k), c) for (j, k, c) in idx.get(s, [])),
-                dict(((j, k), c) for (j, k, c) in idx.get(t, [])),
-            )
-            if lhs != rhs:
-                ok, wit = False, {"pair": (H.names[s], H.names[t])}
-                break
-        if not ok:
-            break
-    rep.add("braided coproduct is multiplicative for the braiding", ok, wit)
+    deltas = [{(j, k): c for (j, k, c) in data.basis_braided_comul(t)} for t in range(d)]
+    bad = multiplicativity_failure(f, H.mul.pair_index(), deltas,
+                                   lambda x, y: braided_tensor_product(data, x, y))
+    rep.add("braided coproduct is multiplicative for the braiding", bad is None,
+            _pair_witness(H, bad))
 
     bad = antipode_failure(H.algebra, data.basis_braided_comul, H.counit, data.braided_antipode)
     rep.add("braided antipode is the braided convolution inverse", bad is None,
@@ -787,14 +779,9 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
                 M = M + BK.action[t].scale(c)
         ad_K_of_H[i] = M
 
-    ok, wit = True, None
-    for i in range(d):
-        lhs = tt_apply(f, dict(((j, k), c) for (j, k, c) in BH.basis_braided_comul(i)), P, P)
-        rhs = BK.braided_comul_of(P.column(i))
-        if lhs != rhs:
-            ok, wit = False, {"basis": H.names[i]}
-            break
-    rep.add("projection intertwines the braided coproducts", ok, wit)
+    bad = comultiplicativity_failure(f, BH.basis_braided_comul, P, BK.braided_comul_of)
+    rep.add("projection intertwines the braided coproducts", bad is None,
+            None if bad is None else {"basis": H.names[bad]})
 
     ok, wit = True, None
     for i in range(d):
@@ -808,33 +795,26 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
             break
     rep.add("projection is equivariant for the adjoint actions", ok, wit)
 
-    ok, wit = True, None
-    idx = BH.braided_comul.first_index()
-    pk = sparse_columns(P)
-    for s in range(d):
-        for t in range(d):
-            delta_st = {}
-            for (k, c) in H.algebra.basis_product(s, t):
-                for (j, q, c2) in idx.get(k, []):
-                    _put(f, delta_st, (j, q), f.mul(c, c2))
-            lhs = tt_apply(f, delta_st, None, P)
-            rhs = {}
-            for (u, v, cs) in idx.get(s, []):
-                for (w, z, ct) in idx.get(t, []):
-                    coef = f.mul(cs, ct)
-                    # braid c_{K,H}(pi(v) (x) w) = ad_{R_i}(w) (x) ad_{pi(R^i)}(pi(v))
-                    for (ri, rj), rv in Q.R.coeffs.items():
-                        left = H.algebra.product_terms([(u, f.mul(coef, rv))], BH.ad_columns[rj][w])
-                        kmid = nonzero_terms(f, ad_K_of_H[ri].apply(P.column(v)))
-                        right = K.algebra.product_terms(kmid, pk[z])
-                        for key, x in tt_outer(H, left, right).items():
-                            _put(f, rhs, key, x)
-            if lhs != rhs:
-                ok, wit = False, {"pair": (H.names[s], H.names[t])}
-                break
-        if not ok:
-            break
-    rep.add("braided comodule-algebra compatibility", ok, wit)
+    # (id x pi) o braided-Delta is multiplicative for the product on H (x) K
+    # (u (x) x)(w (x) z) = u ad_{R_i}(w) (x) ad_{pi(R^i)}(x) z
+    ad_K = [sparse_columns(M) for M in ad_K_of_H]
+
+    def product(A, B):
+        out = {}
+        for (u, x), a in A.items():
+            for (w, z), b in B.items():
+                ab = f.mul(a, b)
+                for (ri, rj), rv in Q.R.coeffs.items():
+                    left = H.algebra.product_terms([(u, f.mul(ab, rv))], BH.ad_columns[rj][w])
+                    right = K.algebra.product_terms(ad_K[ri][x], [(z, f.one)])
+                    for key, v in tt_outer(H, left, right).items():
+                        _put(f, out, key, v)
+        return out
+
+    pushed = [tt_apply(f, {(j, k): c for (j, k, c) in BH.basis_braided_comul(t)}, None, P)
+              for t in range(d)]
+    bad = multiplicativity_failure(f, H.mul.pair_index(), pushed, product)
+    rep.add("braided comodule-algebra compatibility", bad is None, _pair_witness(H, bad))
     return rep
 
 
@@ -910,31 +890,14 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
 
     # the monodromy pairing map intertwines the braided structures
     bh = transmute(Q)
-    phi = phi_maps(Q).phi
-    images = sparse_columns(phi)
-    ok, wit = True, None
-    for a in range(d):
-        for b in range(d):
-            mixed = {}
-            for (c, cv) in product.pair_index().get((a, b), []):
-                for t, x in images[c]:
-                    _put(f, mixed, t, f.mul(cv, x))
-            if not same_vector(f, mixed, H.algebra.product_terms(images[a], images[b])):
-                ok, wit = False, {"pair": (a, b)}
-                break
-        if not ok:
-            break
-    rep.add("pairing map is multiplicative for the braided product", ok, wit)
+    phi = monodromy(Q).to_matrix().transpose()
+    images = [dict(col) for col in sparse_columns(phi)]
+    bad = multiplicativity_failure(f, product.pair_index(), images,
+                                   lambda x, y: H.algebra.product_terms(x.items(), y.items()))
+    rep.add("pairing map is multiplicative for the braided product", bad is None,
+            None if bad is None else {"pair": bad})
 
-    ok, wit = True, None
-    for a in range(d):
-        lhs = bh.braided_comul_of(phi.column(a))
-        rhs = {}
-        for (u, v, c) in Hd.basis_comul(a):
-            for key, val in tt_outer(H, phi.column(u), phi.column(v)).items():
-                _put(f, rhs, key, f.mul(c, val))
-        if lhs != rhs:
-            ok, wit = False, {"dual_basis": a}
-            break
-    rep.add("pairing map intertwines the coproducts", ok, wit)
+    bad = comultiplicativity_failure(f, Hd.basis_comul, phi, bh.braided_comul_of)
+    rep.add("pairing map intertwines the coproducts", bad is None,
+            None if bad is None else {"dual_basis": bad})
     return BraidedDualData(product, antipode, rep)

@@ -14,7 +14,7 @@ import json
 from .algebra import AlgebraPresentation
 from .checks import Report
 from .errors import UsageError
-from .fields import Field, field_from_json, parse_scalar
+from .fields import Field, field_from_json, parse_int, parse_scalar
 from .hopf import HopfAlgebra, HopfMorphism, QuotientData, tensor_hopf
 from .linalg import Matrix, Subspace
 from .qt import QTStructure, TensorSquareElement, Twist
@@ -50,10 +50,10 @@ def tensor3_from_json(field: Field, dim: int, triples) -> SparseTensor3:
     for item in triples:
         if not isinstance(item, (list, tuple)) or len(item) != 4:
             raise UsageError(f"structure constant entry {item!r} must be [i, j, k, scalar]")
-        try:
-            i, j, k = int(item[0]), int(item[1]), int(item[2])
-        except (TypeError, ValueError):
-            raise UsageError(f"structure constant entry {item!r} has a non-integer index") from None
+        i, j, k = item[:3]
+        # plain ints skip parse_int, which would format its message per entry
+        if not type(i) is type(j) is type(k) is int:
+            i, j, k = (parse_int(x, f"index of structure constant entry {item!r}") for x in item[:3])
         out.add_to(i, j, k, parse_scalar(field, item[3], item))
     return out
 
@@ -85,6 +85,8 @@ def hopf_to_json(H: HopfAlgebra) -> dict:
 
 
 def hopf_from_json(field: Field, data: dict) -> HopfAlgebra:
+    if not isinstance(data, dict):
+        raise UsageError(f"structure description {data!r} must be a JSON object")
     required = {"dim", "mul", "unit", "comul", "counit"}
     missing = required - set(data)
     if missing:

@@ -258,12 +258,7 @@ def split_via_factorizable(Q: QTStructure, pi: HopfMorphism) -> SplitCertificate
     factorizable: L1 = right coinvariants, L2 = monodromy image."""
     _require_qt(Q)
     _require_surjection(pi)
-    K = pi.target
-    rbar = Q.R.map_legs(pi.matrix, pi.matrix, new_host=K)
-    qk = verify_rmatrix(K, rbar)
-    if not qk.verified:
-        raise PreconditionError("pushed R-matrix on the quotient failed verification")
-    if not qk.factorizable:
+    if not _pushed_qt(Q, pi).factorizable:
         raise PreconditionError("the quotient quasitriangular structure is not factorizable")
     L1 = coinvariants(Q.hopf, pi, "right")
     L2 = phi_maps(Q, pi).image
@@ -284,15 +279,10 @@ def split_via_fullrank(Q: QTStructure, pi: HopfMorphism) -> SplitCertificate:
         raise PreconditionError(
             f"left and right coinvariants differ (dims {left.dim} vs {right.dim})"
         )
-    K = pi.target
-    rbar = Q.R.map_legs(pi.matrix, pi.matrix, new_host=K)
-    qk = verify_rmatrix(K, rbar)
-    if not qk.verified:
-        raise PreconditionError("pushed R-matrix on the quotient failed verification")
-    if not lr_maps(qk, run_self_test=False).full_rank:
+    if not _pushed_qt(Q, pi).full_rank:
         raise PreconditionError("the quotient quasitriangular structure is not full rank")
     L1 = right
-    lmaps = lr_maps(Q, pi=pi, run_self_test=False)
+    lmaps = lr_maps(Q, pi=pi)
     L2 = lmaps.image_l
     cert = build_certificate(Q, L1, L2)
     # the proof's commutation identity: conjugating the pairing image by
@@ -370,11 +360,7 @@ def extension_split(iota: HopfMorphism, pi: HopfMorphism, Q: QTStructure):
         raise PreconditionError(
             f"not an extension: {ext.first_failure().name}"
         )
-    K = pi.target
-    rbar = Q.R.map_legs(pi.matrix, pi.matrix, new_host=K)
-    qk = verify_rmatrix(K, rbar)
-    if not qk.verified:
-        raise PreconditionError("pushed R-matrix on the quotient failed verification")
+    qk = _pushed_qt(Q, pi)
     fact = qk.factorizable
     right = coinvariants(Q.hopf, pi, "right")
     left = coinvariants(Q.hopf, pi, "left")
@@ -545,6 +531,15 @@ def verify_fresh(pi: HopfMorphism) -> bool:
     from .hopf import verify_morphism
 
     return verify_morphism(pi).ok
+
+
+def _pushed_qt(Q: QTStructure, pi: HopfMorphism) -> QTStructure:
+    """R pushed onto the quotient pi.target, verified there; a
+    PreconditionError when it fails verification."""
+    qk = verify_rmatrix(pi.target, Q.R.map_legs(pi.matrix, pi.matrix, new_host=pi.target))
+    if not qk.verified:
+        raise PreconditionError("pushed R-matrix on the quotient failed verification")
+    return qk
 
 
 def _require_qt(Q: QTStructure):

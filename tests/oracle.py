@@ -303,6 +303,99 @@ def unit_tt(raw):
 
 
 # ----------------------------------------------------------------------
+# structure-map laws, schoolbook on dense lists
+# ----------------------------------------------------------------------
+
+def first_unmultiplicative_pair(raw, images, product):
+    """First basis pair (i, j), in increasing order, with
+    F(e_i e_j) != F(e_i) F(e_j), or None; images[k] is the dense list
+    F(e_k) and product multiplies two such lists."""
+    p = raw["p"]
+    d = raw["dim"]
+    for i in range(d):
+        for j in range(d):
+            lhs = [s_zero(p)] * len(images[0])
+            for k in range(d):
+                c = raw["mul"].get((i, j, k))
+                if c is not None:
+                    lhs = [s_add(p, x, s_mul(p, c, y)) for x, y in zip(lhs, images[k])]
+            if lhs != product(images[i], images[j]):
+                return i, j
+    return None
+
+
+def first_uncomultiplicative_index(src, M, tgt):
+    """First basis index i with (M x M) Delta(e_i) != Delta(M e_i), or
+    None, for the dense matrix M (a list of rows) from src to tgt; tensor
+    squares are dense over the flat basis e_a (x) e_b -> a * dim + b."""
+    p = src["p"]
+    n = tgt["dim"]
+    for i in range(src["dim"]):
+        lhs = [s_zero(p)] * (n * n)
+        for (s, j, k), c in src["comul"].items():
+            if s != i:
+                continue
+            for a in range(n):
+                for b in range(n):
+                    x = s_mul(p, c, s_mul(p, M[a][j], M[b][k]))
+                    lhs[a * n + b] = s_add(p, lhs[a * n + b], x)
+        rhs = [s_zero(p)] * (n * n)
+        for (s, a, b), c in tgt["comul"].items():
+            rhs[a * n + b] = s_add(p, rhs[a * n + b], s_mul(p, M[s][i], c))
+        if lhs != rhs:
+            return i
+    return None
+
+
+def coproduct_images(raw):
+    """Delta(e_k) for every k, dense over the flat basis of H (x) H."""
+    p = raw["p"]
+    d = raw["dim"]
+    out = [[s_zero(p)] * (d * d) for _ in range(d)]
+    for (k, a, b), c in raw["comul"].items():
+        out[k][a * d + b] = s_add(p, out[k][a * d + b], c)
+    return out
+
+
+def tensor_square_product(raw, u, v):
+    """(a (x) b)(c (x) d) = ac (x) bd on dense elements of H (x) H."""
+    p = raw["p"]
+    d = raw["dim"]
+    mi = mul_index(raw)
+    out = [s_zero(p)] * (d * d)
+    for x, a in enumerate(u):
+        if a == s_zero(p):
+            continue
+        i, j = divmod(x, d)
+        for y, b in enumerate(v):
+            if b == s_zero(p):
+                continue
+            k, l = divmod(y, d)
+            ab = s_mul(p, a, b)
+            for m, cm in mi.get((i, k), []):
+                for n, cn in mi.get((j, l), []):
+                    out[m * d + n] = s_add(p, out[m * d + n], s_mul(p, ab, s_mul(p, cm, cn)))
+    return out
+
+
+def twist_identity_holds(raw, J):
+    """(J x 1)(Delta x id)(J) == (1 x J)(id x Delta)(J) for a sparse
+    J = {(i, j): value}, the identity of the twist J Delta J^-1."""
+    p = raw["p"]
+    ci = comul_index(raw)
+    first = {}
+    second = {}
+    for (i, j), v in J.items():
+        for (a, b, c) in ci.get(i, []):
+            _acc(p, first, (a, b, j), s_mul(p, v, c))
+        for (a, b, c) in ci.get(j, []):
+            _acc(p, second, (i, a, b), s_mul(p, v, c))
+    lhs = t3_mul(raw, t3_embed(raw, J, (0, 1)), first)
+    rhs = t3_mul(raw, t3_embed(raw, J, (1, 2)), second)
+    return lhs == rhs
+
+
+# ----------------------------------------------------------------------
 # brute-force R-matrix solver
 # ----------------------------------------------------------------------
 

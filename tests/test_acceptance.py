@@ -142,7 +142,7 @@ def test_acceptance_2_qt_verification():
         q = verify_rmatrix(h4, TensorSquareElement(h4, dict(coeffs)))
         assert q.verified
         assert not is_factorizable(q)
-        full_rank_seen = full_rank_seen or lr_maps(q, run_self_test=False).full_rank
+        full_rank_seen = full_rank_seen or lr_maps(q).full_rank
     assert full_rank_seen
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0

@@ -644,3 +644,31 @@ def test_integer_strings_stay_valid(tmp_path):
            "object": {"builder": "taft", "p": "3", "omega": "2"}}
     code, report = _main_report(tmp_path, "verify", doc)
     assert code == 0 and report["object"]["dim"] == 9
+
+
+# ----------------------------------------------------------------------
+# non-integer indices, non-object structures and incomplete projections
+# ----------------------------------------------------------------------
+
+def _split_on_z2(pi):
+    return {"field": {"kind": "rationals"}, "object": "Z2", "tasks": [{"task": "split", "pi": pi}]}
+
+
+@pytest.mark.parametrize("verb, doc, message", [
+    ("verify", _first_mul_entry([0.9, 0, 0, "1"]), "entry [0.9, 0, 0, '1'] must be an integer"),
+    ("verify", _first_mul_entry([0, 0, False, "1"]),
+     "entry [0, 0, False, '1'] must be an integer"),
+    ("qt", _qt_on_z3([[True, 0, "1"]]), "entry [True, 0, '1']"),
+    ("verify", {"field": {"kind": "rationals"}, "object": {"structure": 5}},
+     "structure description 5 must be a JSON object"),
+    ("verify", {"field": {"kind": "rationals"}, "object": {"structure": None}},
+     "structure description None must be a JSON object"),
+    ("split", _split_on_z2({"kind": "matrix", "rows": [["1", "0"], ["0", "1"]]}),
+     "missing keys ['target']"),
+    ("split", _split_on_z2({"kind": "matrix", "target": "Z2"}), "missing keys ['rows']"),
+], ids=["mul-float-index", "mul-bool-index", "r-bool-index", "structure-5", "structure-null",
+        "pi-no-target", "pi-no-rows"])
+def test_malformed_indices_structures_and_projections_are_input_errors(
+        tmp_path, capsys, verb, doc, message):
+    assert _main_report(tmp_path, verb, doc)[0] == 2
+    assert message in capsys.readouterr().err

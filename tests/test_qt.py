@@ -191,7 +191,7 @@ def test_lr_is_algebra_and_anticoalgebra_map(h4_r_fullrank):
     q = h4_r_fullrank
     H = q.hopf
     f = H.field
-    maps = lr_maps(q, run_self_test=False)
+    maps = lr_maps(q)
     d = H.dim
     for a in range(d):
         for b in range(d):
