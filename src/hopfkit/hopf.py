@@ -183,6 +183,11 @@ def comul_image(comul: SparseTensor3, vec) -> dict:
     return out
 
 
+def comul_dict(basis_comul, i) -> dict:
+    """Delta(e_i) as a sparse tensor square; basis_comul as in antipode_failure."""
+    return {(j, k): c for (j, k, c) in basis_comul(i)}
+
+
 def comul_leg(H, A: dict, leg: int) -> dict:
     """Apply the comultiplication to one leg of a tensor square."""
     f = H.field
@@ -365,7 +370,7 @@ def comultiplicativity_failure(field, basis_comul, M, comul_of):
     comul_of(M e_i), or None; basis_comul lists the source coproduct as in
     antipode_failure and comul_of is the target coproduct of a dense vector."""
     for i in range(M.ncols):
-        lhs = tt_apply(field, {(j, k): c for (j, k, c) in basis_comul(i)}, M, M)
+        lhs = tt_apply(field, comul_dict(basis_comul, i), M, M)
         if not same_vector(field, lhs, comul_of(M.column(i))):
             return i
     return None
@@ -407,7 +412,7 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     ok = H.comul_of(H.unit) == tt_unit(H)
     rep.add("comultiplication of the unit", ok)
     pairs = H.mul.pair_index()
-    deltas = [{(j, k): c for (j, k, c) in H.basis_comul(i)} for i in range(d)]
+    deltas = [comul_dict(H.basis_comul, i) for i in range(d)]
     bad = multiplicativity_failure(f, pairs, deltas, lambda x, y: tt_mul(H, x, y))
     rep.add("comultiplication is an algebra map", bad is None, _pair_witness(H, bad))
 
@@ -782,7 +787,7 @@ def quotient_by_coideal(H: HopfAlgebra, L: Subspace) -> QuotientData:
     comul = SparseTensor3(f, (qd, qd, qd))
     comp = ideal.complement_indices()
     for t in range(qd):
-        img = tt_apply(f, {(j, k): c for (j, k, c) in H.basis_comul(comp[t])}, proj, proj)
+        img = tt_apply(f, comul_dict(H.basis_comul, comp[t]), proj, proj)
         for (j, k), v in sorted(img.items()):
             comul.set(t, j, k, v)
     counit = [H.counit[i] for i in comp]

@@ -38,6 +38,7 @@ from .hopf import (
     antipode_failure,
     coassociativity_failure,
     coinvariant_space,
+    comul_dict,
     comultiplicativity_failure,
     comul_image,
     comul_leg,
@@ -241,7 +242,7 @@ def verify_rmatrix(H: HopfAlgebra, R: TensorSquareElement) -> QTStructure:
 
     ok, wit = True, None
     for i in range(H.dim):
-        delta = dict(((j, k), c) for (j, k, c) in H.basis_comul(i))
+        delta = comul_dict(H.basis_comul, i)
         delta_op = tt_flip(delta)
         if tt_mul(H, R.coeffs, delta) != tt_mul(H, delta_op, R.coeffs):
             ok, wit = False, {"basis": H.names[i]}
@@ -295,9 +296,10 @@ def phi_maps(Q: QTStructure, pi: HopfMorphism = None) -> PhiMaps:
 
 
 def is_factorizable(Q: QTStructure) -> bool:
-    """rank of the monodromy pairing equals the dimension (the rank of
-    the flipped pairing, its transpose, is the same)."""
-    return monodromy(Q).to_matrix().rank() == Q.hopf.dim
+    """Whether the monodromy pairing has full rank, as verify_rmatrix found."""
+    if not Q.verified:
+        raise PreconditionError("is_factorizable needs a verified R-matrix")
+    return Q.factorizable
 
 
 @dataclass
@@ -409,7 +411,7 @@ def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
     J, Jinv = twist.J, twist.J_inv
     comul = SparseTensor3(f, (d, d, d))
     for i in range(d):
-        delta = dict(((j, k), c) for (j, k, c) in H.basis_comul(i))
+        delta = comul_dict(H.basis_comul, i)
         twisted = tt_mul(H, tt_mul(H, J.coeffs, delta), Jinv.coeffs)
         for (j, k), v in sorted(twisted.items()):
             comul.set(i, j, k, v)
@@ -740,7 +742,7 @@ def _verify_braided(data: BraidedHopfData) -> Report:
     rep.add("braided coproduct of the unit",
             data.braided_comul_of(H.unit) == tt_unit(H))
 
-    deltas = [{(j, k): c for (j, k, c) in data.basis_braided_comul(t)} for t in range(d)]
+    deltas = [comul_dict(data.basis_braided_comul, t) for t in range(d)]
     bad = multiplicativity_failure(f, H.mul.pair_index(), deltas,
                                    lambda x, y: braided_tensor_product(data, x, y))
     rep.add("braided coproduct is multiplicative for the braiding", bad is None,
@@ -811,7 +813,7 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
                         _put(f, out, key, v)
         return out
 
-    pushed = [tt_apply(f, {(j, k): c for (j, k, c) in BH.basis_braided_comul(t)}, None, P)
+    pushed = [tt_apply(f, comul_dict(BH.basis_braided_comul, t), None, P)
               for t in range(d)]
     bad = multiplicativity_failure(f, H.mul.pair_index(), pushed, product)
     rep.add("braided comodule-algebra compatibility", bad is None, _pair_witness(H, bad))

@@ -50,10 +50,8 @@ def tensor3_from_json(field: Field, dim: int, triples) -> SparseTensor3:
     for item in triples:
         if not isinstance(item, (list, tuple)) or len(item) != 4:
             raise UsageError(f"structure constant entry {item!r} must be [i, j, k, scalar]")
-        i, j, k = item[:3]
-        # plain ints skip parse_int, which would format its message per entry
-        if not type(i) is type(j) is type(k) is int:
-            i, j, k = (parse_int(x, f"index of structure constant entry {item!r}") for x in item[:3])
+        entry = f"index of structure constant entry {item!r}"
+        i, j, k = (parse_int(x, entry) for x in item[:3])
         out.add_to(i, j, k, parse_scalar(field, item[3], item))
     return out
 

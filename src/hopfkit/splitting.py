@@ -30,6 +30,7 @@ from .hopf import (
     QuotientData,
     _put,
     coinvariants,
+    comul_dict,
     is_normal_left_coideal_subalgebra,
     quotient_by_coideal,
     sparse_columns,
@@ -158,7 +159,7 @@ def comparison_map(H: HopfAlgebra, target: HopfAlgebra, pi1: HopfMorphism, pi2: 
     cols = []
     for t in range(H.dim):
         col = [f.zero] * target.dim
-        delta = dict(((j, k), c) for (j, k, c) in H.basis_comul(t))
+        delta = comul_dict(H.basis_comul, t)
         for (x, y), v in tt_apply(f, delta, pi1.matrix, pi2.matrix).items():
             col[x * d2 + y] = v
         cols.append(col)

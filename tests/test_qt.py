@@ -19,7 +19,7 @@ from hopfkit import (
     verify_rmatrix,
     verify_twist,
 )
-from hopfkit.errors import UsageError
+from hopfkit.errors import PreconditionError, UsageError
 from hopfkit.fields import PrimeField, Rationals
 from hopfkit.hopf import is_normal_left_coideal_subalgebra, tt_mul, tt_flip
 from hopfkit.linalg import Matrix
@@ -127,6 +127,13 @@ def test_phi_rank_collapses_for_unit_r(kz2):
     maps = phi_maps(q)
     assert maps.phi.rank() == 1
     assert not is_factorizable(q)
+
+
+def test_is_factorizable_needs_a_verified_r(kz2):
+    q = verify_rmatrix(kz2, TensorSquareElement(kz2, {}))
+    assert not q.verified
+    with pytest.raises(PreconditionError):
+        is_factorizable(q)
 
 
 def test_phi_full_rank_on_double(double_kz2):
