@@ -36,7 +36,7 @@ from .errors import (
     UsageError,
 )
 from .fields import Field, field_from_json
-from .hopf import HopfAlgebra, HopfMorphism, grouplikes, verify_hopf
+from .hopf import HopfAlgebra, HopfMorphism, grouplikes, identity_morphism, verify_hopf
 from .linalg import Matrix
 from .qt import TensorSquareElement, canonical_double_r, verify_rmatrix
 from .report import (
@@ -193,8 +193,6 @@ def _resolve_r(ctx: _ObjectContext, rspec) -> TensorSquareElement:
 def _resolve_pi(field, ctx: _ObjectContext, pispec) -> HopfMorphism:
     H = ctx.hopf
     if pispec in (None, "identity"):
-        from .hopf import identity_morphism
-
         return identity_morphism(H)
     if isinstance(pispec, dict) and "kind" in pispec:
         kind = pispec["kind"]

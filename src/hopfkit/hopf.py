@@ -405,9 +405,9 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     rep = Report()
     rep.extend(verify_algebra(H.algebra))
     bad = coassociativity_failure(f, d, H.basis_comul)
-    rep.add("coassociativity", bad is None, None if bad is None else {"basis": H.names[bad]})
+    rep.add("coassociativity", bad is None, _basis_witness(H, bad))
     bad = counit_failure(f, H.basis_comul, H.counit)
-    rep.add("counit law", bad is None, None if bad is None else {"basis": H.names[bad]})
+    rep.add("counit law", bad is None, _basis_witness(H, bad))
 
     ok = H.comul_of(H.unit) == tt_unit(H)
     rep.add("comultiplication of the unit", ok)
@@ -428,6 +428,11 @@ def verify_hopf(H: HopfAlgebra) -> Report:
             "computed by convolution inversion" if H.antipode_source == "computed" else None)
     rep.add("antipode law", _antipode_ok(H, S))
     return rep
+
+
+def _basis_witness(H, bad):
+    """The report witness of a failing basis index, or None."""
+    return None if bad is None else {"basis": H.names[bad]}
 
 
 def _pair_witness(H, bad):
@@ -493,7 +498,7 @@ def verify_morphism(fmor: HopfMorphism) -> Report:
     rep.add("multiplicative", bad is None, _pair_witness(A, bad))
 
     bad = comultiplicativity_failure(f, A.basis_comul, M, B.comul_of)
-    rep.add("comultiplicative", bad is None, None if bad is None else {"basis": A.names[bad]})
+    rep.add("comultiplicative", bad is None, _basis_witness(A, bad))
 
     ok, wit = True, None
     for i in range(A.dim):

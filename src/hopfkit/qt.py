@@ -13,6 +13,11 @@ grid over the host's flat tensor basis, with exact multiplication and
 inversion inside the algebra H (x) H.  Inversion first tries closed-form
 candidates (e.g. (S (x) id)(R)) confirmed by multiplication, then falls
 back to the regular-representation linear solve, built as sparse rows.
+
+Transmutation holds the adjoint action h_(1) v S(h_(2)) once, as sparse
+columns.  transmute and check_braided_projection share braided_product,
+over the braiding e_q (x) e_r -> sum_R ad_{R_i}(e_r) (x) ad'_{R^i}(e_q)
+(ad' acts on the right factor), formed once per basis pair a check meets.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from .fields import parse_scalar
 from .hopf import (
     HopfAlgebra,
     HopfMorphism,
+    _basis_witness,
     _pair_witness,
     _put,
     antipode_failure,
@@ -44,6 +50,7 @@ from .hopf import (
     comul_leg,
     counit_failure,
     dual_hopf,
+    is_normal_left_coideal_subalgebra,
     solve_antipode,
     sparse_columns,
     t3_embed,
@@ -53,6 +60,7 @@ from .hopf import (
     tt_mul,
     tt_outer,
     tt_unit,
+    tensor_hopf,
     _antipode_ok,
 )
 from .linalg import Matrix, Subspace, solve_rows
@@ -278,8 +286,6 @@ def phi_maps(Q: QTStructure, pi: HopfMorphism = None) -> PhiMaps:
     """Matrices of f -> (f (x) id)(R21 R) and f -> (id (x) f)(R21 R) from
     dual coordinates (precomposed with pi when given), images in RREF,
     plus the normal-left-coideal-subalgebra check on the image."""
-    from .hopf import is_normal_left_coideal_subalgebra
-
     H = Q.hopf
     f = H.field
     M = monodromy(Q).to_matrix()
@@ -581,8 +587,6 @@ def componentwise_r(T: HopfAlgebra, r1: TensorSquareElement, r2: TensorSquareEle
 
 def tensor_qt(Q1: QTStructure, Q2: QTStructure) -> QTStructure:
     """Componentwise R-matrix on the tensor product Hopf algebra."""
-    from .hopf import tensor_hopf
-
     H = tensor_hopf(Q1.hopf, Q2.hopf)
     return verify_rmatrix(H, componentwise_r(H, Q1.R, Q2.R))
 
@@ -633,12 +637,8 @@ class BraidedHopfData:
     R: TensorSquareElement
     braided_comul: SparseTensor3
     braided_antipode: Matrix
-    action: list
+    action: list  # action[i][t] is ad_{e_i}(e_t) as a sparse operand
     report: Report = dc_field(default=None)
-
-    def __post_init__(self):
-        # ad_columns[i][t] is ad_{e_i}(e_t) as a sparse operand
-        self.ad_columns = [sparse_columns(M) for M in self.action]
 
     def braided_comul_of(self, vec) -> dict:
         return comul_image(self.braided_comul, vec)
@@ -648,40 +648,71 @@ class BraidedHopfData:
 
 
 def adjoint_action_matrices(H: HopfAlgebra):
-    """ad_{e_i}(v) = e_i_(1) v S(e_i_(2)) as one matrix per basis index."""
+    """ad_{e_i}(e_t) = e_i_(1) e_t S(e_i_(2)) as a sparse operand, one list
+    of columns t per basis index i."""
     f = H.field
-    d = H.dim
     product_terms = H.algebra.product_terms
     antipode = sparse_columns(H.antipode)
-    out = []
-    for i in range(d):
-        columns = []
-        for t in range(d):
-            col = {}
-            for (p, q, c) in H.basis_comul(i):
-                mid = nonzero_terms(f, product_terms([(p, c)], [(t, f.one)]))
-                product_terms(mid, antipode[q], col)
-            columns.append(dense_vector(f, d, col))
-        out.append(Matrix.from_columns(f, columns))
-    return out
+
+    def ad(i, t):
+        col = {}
+        for (p, q, c) in H.basis_comul(i):
+            mid = nonzero_terms(f, product_terms([(p, c)], [(t, f.one)]))
+            product_terms(mid, antipode[q], col)
+        return nonzero_terms(f, col)
+
+    return [[ad(i, t) for t in range(H.dim)] for i in range(H.dim)]
 
 
-def braided_tensor_product(data: BraidedHopfData, A: dict, B: dict) -> dict:
-    """(u (x) v)(w (x) z) = u ad_{R_i}(w) (x) ad_{R^i}(v) z on the carrier."""
-    H = data.hopf
-    f = H.field
-    product_terms = H.algebra.product_terms
-    ad = data.ad_columns
+def _combine(f, columns, vec) -> dict:
+    """sum c columns[u] over the terms (u, c) of the sparse operand vec."""
     out = {}
-    for (p, q), a in A.items():
-        for (r, s), b in B.items():
-            ab = f.mul(a, b)
-            for (i, j), rv in data.R.coeffs.items():
-                left = product_terms([(p, f.mul(ab, rv))], ad[j][r])
-                right = product_terms(ad[i][q], [(s, f.one)])
-                for key, v in tt_outer(H, left, right).items():
-                    _put(f, out, key, v)
+    for u, c in vec:
+        for k, v in columns[u]:
+            _put(f, out, k, f.mul(c, v))
     return out
+
+
+def braided_product(left: AlgebraPresentation, right: AlgebraPresentation,
+                    R: TensorSquareElement, ad_left, ad_right):
+    """(u (x) v)(w (x) z) = sum u x (x) y z on left (x) right, over the
+    braiding v (x) w -> sum x (x) y = sum_R ad_left_{R_i}(w) (x)
+    ad_right_{R^i}(v), as a function of two sparse tensors; the braiding of
+    a basis pair is formed on its first use and kept by that function."""
+    f = left.field
+    mul, add, zero = f.mul, f.add, f.zero
+    left_pairs = left.mul.pair_index()
+    right_pairs = right.mul.pair_index()
+    table = {}
+
+    def braiding(q, r):
+        if (q, r) not in table:
+            acc = {}
+            for (i, j), rv in R.coeffs.items():
+                for x, a in ad_left[j][r]:
+                    ra = mul(rv, a)
+                    for y, b in ad_right[i][q]:
+                        acc[(x, y)] = add(acc.get((x, y), zero), mul(ra, b))
+            table[(q, r)] = [(key, v) for key, v in acc.items() if not f.is_zero(v)]
+        return table[(q, r)]
+
+    def product(A, B):
+        out = {}
+        for (p, q), a in A.items():
+            for (r, s), b in B.items():
+                ab = mul(a, b)
+                for (x, y), c in braiding(q, r):
+                    lterms = left_pairs.get((p, x))
+                    rterms = right_pairs.get((y, s))
+                    if lterms and rterms:
+                        abc = mul(ab, c)
+                        for m, cm in lterms:
+                            v = mul(abc, cm)
+                            for n, cn in rterms:
+                                out[(m, n)] = add(out.get((m, n), zero), mul(v, cn))
+        return out
+
+    return product
 
 
 def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
@@ -692,9 +723,7 @@ def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
     if pi is not None:
         if not pi.verify().ok or not pi.is_surjective():
             raise PreconditionError("transmute needs a verified surjective quotient map")
-        K = pi.target
-        Rbar = Q.R.map_legs(pi.matrix, pi.matrix, new_host=K)
-        KQ = verify_rmatrix(K, Rbar)
+        KQ = verify_rmatrix(pi.target, Q.R.map_legs(pi.matrix, pi.matrix, new_host=pi.target))
         if not KQ.verified:
             raise PreconditionError("pushed-forward R-matrix failed verification")
         return transmute(KQ)
@@ -703,18 +732,14 @@ def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
     d = H.dim
     product_terms = H.algebra.product_terms
     antipode = sparse_columns(H.antipode)
-    action = adjoint_action_matrices(H)
-    ad = [sparse_columns(M) for M in action]
+    ad = adjoint_action_matrices(H)
     bc = SparseTensor3(f, (d, d, d))
     for t in range(d):
-        acc = {}
         for (p, q, ct) in H.basis_comul(t):
             for (i, j), rv in Q.R.coeffs.items():
                 left = product_terms([(p, f.mul(ct, rv))], antipode[j])
-                for key, v in tt_outer(H, left, dict(ad[i][q])).items():
-                    _put(f, acc, key, v)
-        for (j, k), v in acc.items():
-            bc.set(t, j, k, v)
+                for (u, v), x in tt_outer(H, left, dict(ad[i][q])).items():
+                    bc.add_to(t, u, v, x)
     columns = []
     for t in range(d):
         col = {}
@@ -722,7 +747,7 @@ def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
             for u, x in ad[i][t]:
                 product_terms([(j, f.mul(rv, x))], antipode[u], col)
         columns.append(dense_vector(f, d, col))
-    data = BraidedHopfData(H, Q.R, bc, Matrix.from_columns(f, columns), action)
+    data = BraidedHopfData(H, Q.R, bc, Matrix.from_columns(f, columns), ad)
     data.report = _verify_braided(data)
     return data
 
@@ -734,23 +759,22 @@ def _verify_braided(data: BraidedHopfData) -> Report:
     rep = Report()
 
     bad = counit_failure(f, data.basis_braided_comul, H.counit)
-    rep.add("braided counit law", bad is None, None if bad is None else {"basis": H.names[bad]})
+    rep.add("braided counit law", bad is None, _basis_witness(H, bad))
     bad = coassociativity_failure(f, d, data.basis_braided_comul)
-    rep.add("braided coassociativity", bad is None,
-            None if bad is None else {"basis": H.names[bad]})
+    rep.add("braided coassociativity", bad is None, _basis_witness(H, bad))
 
     rep.add("braided coproduct of the unit",
             data.braided_comul_of(H.unit) == tt_unit(H))
 
     deltas = [comul_dict(data.basis_braided_comul, t) for t in range(d)]
-    bad = multiplicativity_failure(f, H.mul.pair_index(), deltas,
-                                   lambda x, y: braided_tensor_product(data, x, y))
+    product = braided_product(H.algebra, H.algebra, data.R, data.action, data.action)
+    bad = multiplicativity_failure(f, H.mul.pair_index(), deltas, product)
     rep.add("braided coproduct is multiplicative for the braiding", bad is None,
             _pair_witness(H, bad))
 
     bad = antipode_failure(H.algebra, data.basis_braided_comul, H.counit, data.braided_antipode)
     rep.add("braided antipode is the braided convolution inverse", bad is None,
-            None if bad is None else {"basis": H.names[bad]})
+            _basis_witness(H, bad))
     return rep
 
 
@@ -763,58 +787,33 @@ def braided_coinvariants(data: BraidedHopfData, pi: HopfMorphism) -> Subspace:
 def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
     """The projection is a braided coalgebra map, is equivariant for the
     adjoint actions, and the braided coproduct pushed through it makes the
-    carrier a comodule algebra (the braided compatibility square)."""
+    carrier a comodule algebra (the braided compatibility square); Q must
+    be verified."""
+    if not Q.verified:
+        raise PreconditionError("the quasitriangular structure is not verified")
     rep = Report()
     H = Q.hopf
     f = H.field
     d = H.dim
     P = pi.matrix
+    P_columns = sparse_columns(P)
     BH = transmute(Q)
     BK = transmute(Q, pi)
-    K = BK.hopf
-    ad_K_of_H = [None] * d  # action of e_i in H on the quotient carrier
-    for i in range(d):
-        img = P.column(i)
-        M = Matrix.zeros(f, K.dim, K.dim)
-        for t, c in enumerate(img):
-            if not f.is_zero(c):
-                M = M + BK.action[t].scale(c)
-        ad_K_of_H[i] = M
+    # ad_K[i][t] is the action of e_i in H on e_t in K, through pi(e_i)
+    ad_K = [[list(_combine(f, column, P_columns[i]).items()) for column in zip(*BK.action)]
+            for i in range(d)]
 
     bad = comultiplicativity_failure(f, BH.basis_braided_comul, P, BK.braided_comul_of)
-    rep.add("projection intertwines the braided coproducts", bad is None,
-            None if bad is None else {"basis": H.names[bad]})
+    rep.add("projection intertwines the braided coproducts", bad is None, _basis_witness(H, bad))
 
-    ok, wit = True, None
-    for i in range(d):
-        for t in range(d):
-            lhs = P.apply(BH.action[i].column(t))
-            rhs = ad_K_of_H[i].apply(P.column(t))
-            if lhs != rhs:
-                ok, wit = False, {"pair": (H.names[i], H.names[t])}
-                break
-        if not ok:
-            break
-    rep.add("projection is equivariant for the adjoint actions", ok, wit)
+    wit = next(({"pair": (H.names[i], H.names[t])} for i in range(d) for t in range(d)
+                if _combine(f, P_columns, BH.action[i][t]) != _combine(f, ad_K[i], P_columns[t])),
+               None)
+    rep.add("projection is equivariant for the adjoint actions", wit is None, wit)
 
-    # (id x pi) o braided-Delta is multiplicative for the product on H (x) K
-    # (u (x) x)(w (x) z) = u ad_{R_i}(w) (x) ad_{pi(R^i)}(x) z
-    ad_K = [sparse_columns(M) for M in ad_K_of_H]
-
-    def product(A, B):
-        out = {}
-        for (u, x), a in A.items():
-            for (w, z), b in B.items():
-                ab = f.mul(a, b)
-                for (ri, rj), rv in Q.R.coeffs.items():
-                    left = H.algebra.product_terms([(u, f.mul(ab, rv))], BH.ad_columns[rj][w])
-                    right = K.algebra.product_terms(ad_K[ri][x], [(z, f.one)])
-                    for key, v in tt_outer(H, left, right).items():
-                        _put(f, out, key, v)
-        return out
-
-    pushed = [tt_apply(f, comul_dict(BH.basis_braided_comul, t), None, P)
-              for t in range(d)]
+    # (id x pi) o braided-Delta is multiplicative for the braided product on H (x) K
+    pushed = [tt_apply(f, comul_dict(BH.basis_braided_comul, t), None, P) for t in range(d)]
+    product = braided_product(H.algebra, BK.hopf.algebra, Q.R, BH.action, ad_K)
     bad = multiplicativity_failure(f, H.mul.pair_index(), pushed, product)
     rep.add("braided comodule-algebra compatibility", bad is None, _pair_witness(H, bad))
     return rep

@@ -378,6 +378,76 @@ def tensor_square_product(raw, u, v):
     return out
 
 
+def export_antipode(H):
+    """The antipode of H as raw rows: column j is S(e_j)."""
+    p = getattr(H.field, "p", None)
+    conv = (lambda x: int(x)) if p else (lambda x: Fraction(x))
+    return [[conv(v) for v in row] for row in H.antipode.rows]
+
+
+def sparse_product(raw, u, v, mi=None):
+    """uv for sparse vectors {i: value}."""
+    p = raw["p"]
+    mi = mi or mul_index(raw)
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            for k, c in mi.get((i, j), []):
+                _acc(p, out, k, s_mul(p, s_mul(p, a, b), c))
+    return out
+
+
+def adjoint_action(raw, S):
+    """ad[h][t] = h_(1) e_t S(h_(2)) at h = e_h as sparse vectors, from the
+    raw constants and the antipode rows S (column j is S(e_j))."""
+    p = raw["p"]
+    d = raw["dim"]
+    mi = mul_index(raw)
+    ad = [[{} for _ in range(d)] for _ in range(d)]
+    for (h, a, b), c in raw["comul"].items():
+        s_b = {r: S[r][b] for r in range(d) if S[r][b] != s_zero(p)}
+        for t in range(d):
+            left = sparse_product(raw, {a: c}, {t: s_one(p)}, mi)
+            for k, v in sparse_product(raw, left, s_b, mi).items():
+                _acc(p, ad[h][t], k, v)
+    return ad
+
+
+def action_through(p, P, ad):
+    """act[h][t] = sum_u P[u][h] ad[u][t]: the action ad of a target
+    algebra read through the map with matrix rows P (column h is P(e_h))."""
+    act = []
+    for h in range(len(P[0])):
+        row = []
+        for t in range(len(ad[0])):
+            acc = {}
+            for u in range(len(P)):
+                for k, v in ad[u][t].items():
+                    _acc(p, acc, k, s_mul(p, P[u][h], v))
+            row.append(acc)
+        act.append(row)
+    return act
+
+
+def braided_product(left, right, R, ad_left, ad_right, A, B):
+    """(u (x) v)(w (x) z) = sum_R u ad_left[R_i](w) (x) ad_right[R^i](v) z
+    for sparse elements {(a, b): value} of left (x) right, R = {(i, j):
+    value} with R^i = e_i on the first leg and R_i = e_j on the second."""
+    p = left["p"]
+    ml, mr = mul_index(left), mul_index(right)
+    out = {}
+    for (u, v), a in A.items():
+        for (w, z), b in B.items():
+            for (i, j), r in R.items():
+                coef = s_mul(p, s_mul(p, a, b), r)
+                x = sparse_product(left, {u: coef}, ad_left[j][w], ml)
+                y = sparse_product(right, ad_right[i][v], {z: s_one(p)}, mr)
+                for m, xm in x.items():
+                    for n, yn in y.items():
+                        _acc(p, out, (m, n), s_mul(p, xm, yn))
+    return out
+
+
 def twist_identity_holds(raw, J):
     """(J x 1)(Delta x id)(J) == (1 x J)(id x Delta)(J) for a sparse
     J = {(i, j): value}, the identity of the twist J Delta J^-1."""

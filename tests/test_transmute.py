@@ -4,16 +4,18 @@ import pytest
 
 from hopfkit import (
     HopfMorphism,
+    PreconditionError,
     TensorSquareElement,
     braided_dual,
     check_braided_projection,
+    tensor_hopf,
     tensor_qt,
     transmute,
     verify_rmatrix,
 )
 from hopfkit.fields import Rationals
 from hopfkit.linalg import Matrix
-from hopfkit.qt import braided_coinvariants
+from hopfkit.qt import braided_coinvariants, componentwise_r, double_base_projection
 from hopfkit.hopf import coinvariants
 
 QQ = Rationals()
@@ -85,14 +87,32 @@ def test_braided_projection_identity(double_kz2):
     assert rep.ok
 
 
+def test_braided_projection_onto_the_base_of_double_h4(double_h4, h4_r_fullrank):
+    # neither the identity nor onto a commutative target
+    pi = double_base_projection(double_h4, h4_r_fullrank)
+    assert not pi.target.algebra.is_commutative()
+    rep = check_braided_projection(double_h4, pi)
+    assert rep.ok, rep.first_failure()
+    assert len(rep.checks) == 3
+
+
+def test_braided_projection_rejects_an_unverified_r(h4, kz2, h4_r_fullrank):
+    # R2 = 1 (x) g is not an R-matrix on kZ2, but (eps x eps)(R2) = 1, so
+    # the R pushed onto H4 verifies and only the R on H4 (x) kZ2 is at fault
+    T = tensor_hopf(h4, kz2)
+    r2 = TensorSquareElement(kz2, {(0, 1): QQ.one})
+    Q = verify_rmatrix(T, componentwise_r(T, h4_r_fullrank.R, r2))
+    assert not Q.verified
+    with pytest.raises(PreconditionError, match="not verified"):
+        check_braided_projection(Q, _first_factor_projection(T, h4, kz2))
+
+
 def test_braided_projection_detects_corruption(split_input):
     Q, pi = split_input
     f = Q.hopf.field
     bad = Matrix(f, [list(r) for r in pi.matrix.rows])
     bad.rows[1][2] = f.add(bad.rows[1][2], f.one)
     bad_pi = HopfMorphism(Q.hopf, pi.target, bad)
-    from hopfkit.errors import PreconditionError
-
     with pytest.raises(PreconditionError):
         check_braided_projection(Q, bad_pi)
 

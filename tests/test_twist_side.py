@@ -8,9 +8,11 @@ the two tell the sides apart on any non-cocommutative double."""
 
 import pytest
 
-from hopfkit import apply_twist, drinfeld_double, taft, verify_hopf, verify_twist
+from hopfkit import apply_twist, drinfeld_double, taft, tensor_hopf, verify_hopf, verify_twist
 from hopfkit.fields import CyclotomicField
 from hopfkit.hopf import op_cop
+from hopfkit.qt import double_base_projection, double_projection
+from hopfkit.splitting import theorem_twist
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +58,19 @@ def test_r_inverse_is_rejected_double_taft3(double_taft3_cyc3):
                       inverse_candidates=[double_taft3_cyc3.R])
     assert not tw.verified
     assert [c.name for c in tw.report.checks if not c.ok] == ["2-cocycle identity"]
+
+
+def test_theorem_twist_on_the_factors_of_double_of_double_h4(double_h4):
+    # T = K1 (x) K2 for the two projections of D(D(H4)) onto K = D(H4) that
+    # double_splitting uses; J verifies, and J^-1 fails only the identity
+    DQ = drinfeld_double(double_h4.hopf)
+    assert DQ.hopf.dim == 256
+    K = double_h4.hopf
+    pi1 = double_base_projection(DQ, double_h4)
+    pi2 = double_projection(DQ.hopf, K, double_h4.R.to_matrix().rows)
+    T = tensor_hopf(K, K)
+    tw = theorem_twist(T, DQ, pi1, pi2)
+    assert tw.verified, tw.report.first_failure()
+    inv = verify_twist(T, tw.J_inv, inverse_candidates=[tw.J])
+    assert not inv.verified
+    assert [c.name for c in inv.report.checks if not c.ok] == ["2-cocycle identity"]
