@@ -12,6 +12,13 @@ as the nullspace of a system built as sparse rows.
 ``multiplicativity_failure`` is the one check that a linear map is
 multiplicative on every basis pair; the comultiplication and counit of
 verify_hopf, Hopf maps, characters and the braided maps all read it.
+It compares a row at a time: F(e_i) times every image F(e_j) is formed
+in one pass by a row function (``row_product`` here, ``hopf.tt_row`` on
+H (x) H).  The images are inverted once by first leg (r -> [(j, b)]),
+and each term e_p of the left factor walks only its right neighbours
+among those legs, the r with e_p e_r != 0 (``right_partners`` over
+``SparseTensor3.right_index``), so a pair whose product vanishes costs
+nothing.
 """
 
 from __future__ import annotations
@@ -173,34 +180,95 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
     return rep
 
 
-def multiplicativity_failure(field, pairs, images, product):
+def multiplicativity_failure(field, pairs, images, row):
     """First basis pair (i, j), in increasing order, with F(e_i e_j)
-    unequal to product(F(e_i), F(e_j)), or None.
+    unequal to F(e_i) F(e_j), or None.
 
-    pairs is the source multiplication's pair index, images[k] = F(e_k)
-    is a sparse dict (a scalar-valued map keys its nonzero values by (),
-    see scalar_images) and product multiplies two images."""
+    pairs is the source multiplication's pair index and images[k] = F(e_k)
+    a sparse dict (a scalar-valued map keys its nonzero values by (), see
+    scalar_images).  row(x) is the list [x images[j] for j] of products
+    in the target, formed in one pass (row_product, hopf.tt_row); the row
+    of F(e_i) is compared in increasing j, so every pair is checked."""
     mul, add, zero = field.mul, field.add, field.zero
-    d = len(images)
-    for i in range(d):
-        for j in range(d):
+    for i, x in enumerate(images):
+        for j, product in enumerate(row(x)):
             lhs = {}
             for k, c in pairs.get((i, j), ()):
-                for t, x in images[k].items():
-                    lhs[t] = add(lhs.get(t, zero), mul(c, x))
-            if not same_vector(field, lhs, product(images[i], images[j])):
+                for t, v in images[k].items():
+                    lhs[t] = add(lhs.get(t, zero), mul(c, v))
+            if not same_vector(field, lhs, product):
                 return i, j
     return None
 
 
+def right_partners(mul: SparseTensor3, by_first: dict):
+    """The function p -> [(terms of e_p e_r, by_first[r])], in increasing
+    r, over the r that are right neighbours of e_p (e_p e_r != 0) and keys
+    of by_first, an inverted index of right factors by first leg.  The
+    join walks the shorter side: the right-neighbour list of e_p
+    (SparseTensor3.right_index) or the keys of by_first.  The list of
+    each p is built on its first use and kept, so later rows reuse it."""
+    pairs = mul.pair_index()
+    right = mul.right_index()
+    firsts = sorted(by_first)
+    joined = {}
+
+    def partners(p):
+        got = joined.get(p)
+        if got is None:
+            neighbours = right.get(p, ())
+            if len(firsts) < len(neighbours):
+                got = [(pairs[(p, r)], by_first[r]) for r in firsts if (p, r) in pairs]
+            else:
+                got = [(terms, by_first[r]) for r, terms in neighbours if r in by_first]
+            joined[p] = got
+        return got
+
+    return partners
+
+
+def row_product(A: AlgebraPresentation, images):
+    """The row x -> [x images[j] for j] in A, for sparse dicts x and
+    images[j] (k -> a).  The images are inverted once by basis index
+    (r -> [(j, b)]), so a term e_p of x meets only the images with a term
+    e_r such that e_p e_r != 0; zero entries may remain after cancellation."""
+    f = A.field
+    mul, add = f.mul, f.add
+    by_first = {}
+    for j, image in enumerate(images):
+        for r, b in image.items():
+            by_first.setdefault(r, []).append((j, b))
+    partners = right_partners(A.mul, by_first)
+
+    def row(x):
+        out = [{} for _ in images]
+        for p, a in x.items():
+            for terms, hits in partners(p):
+                for j, b in hits:
+                    ab = mul(a, b)
+                    acc = out[j]
+                    for k, c in terms:
+                        v = mul(ab, c)
+                        cur = acc.get(k)
+                        acc[k] = v if cur is None else add(cur, v)
+        return out
+
+    return row
+
+
+def pairwise_row(images, product):
+    """The row x -> [product(x, y) for y in images] of a pairwise product."""
+    return lambda x: [product(x, y) for y in images]
+
+
 def scalar_images(field, values):
     """The values of a scalar-valued map as multiplicativity_failure
-    images, each nonzero value keyed by (), and the product of two such
-    images."""
+    images, each nonzero value keyed by (), and their row."""
     def product(x, y):
         return {(): field.mul(x[()], y[()])} if x and y else {}
 
-    return [{(): v} if not field.is_zero(v) else {} for v in values], product
+    images = [{(): v} if not field.is_zero(v) else {} for v in values]
+    return images, pairwise_row(images, product)
 
 
 def center(A: AlgebraPresentation) -> Subspace:

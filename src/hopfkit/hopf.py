@@ -22,6 +22,17 @@ while it is not yet determined.
 intertwines two coproducts on every basis element, read by
 verify_morphism and the braided maps; its multiplicative twin is
 ``algebra.multiplicativity_failure``.
+
+Products in H (x) H are formed a row at a time by ``tt_row``: for fixed
+right factors B_0, ..., B_{n-1} it returns x -> [x B_j for every j].
+The right factors are inverted once by their legs (r -> s -> [(j, b)]),
+and a term e_p (x) e_q of x walks only the right neighbours r of e_p
+(the r with e_p e_r != 0) and then s of e_q that some B_j uses, so it
+adds into every product at once and never looks at a pair whose product
+vanishes.  The bialgebra check of verify_hopf reads Delta(e_i) Delta(e_j)
+for all j off one row per i, verify_morphism reads its one-leg form
+``algebra.row_product`` over the target, and tt_mul is the row of a
+single right factor; t3_mul walks the same right-neighbour lists.
 """
 
 from __future__ import annotations
@@ -36,6 +47,8 @@ from .algebra import (
     multiplicativity_failure,
     nonzero_terms,
     quotient_algebra,
+    right_partners,
+    row_product,
     same_vector,
     scalar_images,
     subalgebra_closure,
@@ -75,36 +88,46 @@ def tt_outer(H, u, v) -> dict:
     return out
 
 
-def _by_first_leg(B: dict) -> dict:
-    """Group a sparse tensor by its first index: k -> [(rest, value)]."""
-    out = {}
-    for key, b in B.items():
-        out.setdefault(key[0], []).append((key[1:], b))
-    return out
+def tt_row(H, images):
+    """The row x -> [x images[j] for j] in H (x) H, for sparse tensor
+    squares x and images[j] ((r, s) -> b); zero entries may remain after
+    cancellation.
+
+    The images are inverted once by their legs (r -> s -> [(j, b)]).  A
+    term e_p (x) e_q of x walks only the right neighbours r of e_p, and
+    then s of e_q, that some image uses (algebra.right_partners, joined
+    once per left factor and kept for every later row), and adds into all
+    the products at once."""
+    f = H.field
+    mul, add = f.mul, f.add
+    tree = {}
+    for j, image in enumerate(images):
+        for (r, s), b in image.items():
+            tree.setdefault(r, {}).setdefault(s, []).append((j, b))
+    partners = right_partners(H.mul, {r: right_partners(H.mul, branch) for r, branch in tree.items()})
+
+    def row(x):
+        out = [{} for _ in images]
+        for (p, q), a in x.items():
+            for left, second_partners in partners(p):
+                for right, hits in second_partners(q):
+                    for j, b in hits:
+                        ab = mul(a, b)
+                        acc = out[j]
+                        for m, cm in left:
+                            lv = mul(ab, cm)
+                            for n, cn in right:
+                                v = mul(lv, cn)
+                                cur = acc.get((m, n))
+                                acc[(m, n)] = v if cur is None else add(cur, v)
+        return out
+
+    return row
 
 
 def tt_mul(H, A: dict, B: dict) -> dict:
-    """Product in H (x) H; B is grouped by its first leg so that a pair
-    with an empty first-leg product is skipped with one lookup."""
-    f = H.field
-    pairs = H.mul.pair_index()
-    grouped = _by_first_leg(B)
-    out = {}
-    for (i, j), a in A.items():
-        for k, rest in grouped.items():
-            left = pairs.get((i, k))
-            if not left:
-                continue
-            for (l,), b in rest:
-                right = pairs.get((j, l))
-                if not right:
-                    continue
-                ab = f.mul(a, b)
-                for m, cm in left:
-                    lv = f.mul(ab, cm)
-                    for n, cn in right:
-                        _put(f, out, (m, n), f.mul(lv, cn))
-    return out
+    """Product in H (x) H: the row of the one image B at A, zeros dropped."""
+    return dict(nonzero_terms(H.field, tt_row(H, [B])(A)[0]))
 
 
 def tt_flip(A: dict) -> dict:
@@ -129,28 +152,33 @@ def tt_apply(field, A: dict, M1, M2) -> dict:
 
 
 def t3_mul(H, A: dict, B: dict) -> dict:
+    """Product in H (x) H (x) H.  B is held as a tree by its three legs,
+    and each leg of a term of A walks only its right neighbours among the
+    branches of that tree (algebra.right_partners, joined once per node
+    and left factor)."""
     f = H.field
-    pairs = H.mul.pair_index()
-    grouped = _by_first_leg(B)
+    mul, add = f.mul, f.add
+    tree = {}
+    for (l, m, n), b in B.items():
+        tree.setdefault(l, {}).setdefault(m, {})[n] = b
+    partners = right_partners(H.mul, {
+        l: right_partners(H.mul, {m: right_partners(H.mul, leaves) for m, leaves in branch.items()})
+        for l, branch in tree.items()})
     out = {}
     for (i, j, k), a in A.items():
-        for l, rest in grouped.items():
-            first = pairs.get((i, l))
-            if not first:
-                continue
-            for (m, n), b in rest:
-                second = pairs.get((j, m))
-                third = pairs.get((k, n))
-                if not (second and third):
-                    continue
-                ab = f.mul(a, b)
-                for p, cp in first:
-                    vp = f.mul(ab, cp)
-                    for q, cq in second:
-                        vq = f.mul(vp, cq)
-                        for r, cr in third:
-                            _put(f, out, (p, q, r), f.mul(vq, cr))
-    return out
+        for first, second_partners in partners(i):
+            for second, third_partners in second_partners(j):
+                for third, b in third_partners(k):
+                    ab = mul(a, b)
+                    for p, cp in first:
+                        vp = mul(ab, cp)
+                        for q, cq in second:
+                            vq = mul(vp, cq)
+                            for r, cr in third:
+                                v = mul(vq, cr)
+                                cur = out.get((p, q, r))
+                                out[(p, q, r)] = v if cur is None else add(cur, v)
+    return dict(nonzero_terms(f, out))
 
 
 def t3_embed(field, A: dict, spots, unit_vec) -> dict:
@@ -413,7 +441,7 @@ def verify_hopf(H: HopfAlgebra) -> Report:
     rep.add("comultiplication of the unit", ok)
     pairs = H.mul.pair_index()
     deltas = [comul_dict(H.basis_comul, i) for i in range(d)]
-    bad = multiplicativity_failure(f, pairs, deltas, lambda x, y: tt_mul(H, x, y))
+    bad = multiplicativity_failure(f, pairs, deltas, tt_row(H, deltas))
     rep.add("comultiplication is an algebra map", bad is None, _pair_witness(H, bad))
 
     ok = f.is_one(H.counit_of(H.unit))
@@ -493,8 +521,7 @@ def verify_morphism(fmor: HopfMorphism) -> Report:
     rep.add("sends unit to unit", M.apply(A.unit) == B.unit)
 
     images = [dict(col) for col in sparse_columns(M)]
-    bad = multiplicativity_failure(f, A.mul.pair_index(), images,
-                                   lambda x, y: B.algebra.product_terms(x.items(), y.items()))
+    bad = multiplicativity_failure(f, A.mul.pair_index(), images, row_product(B.algebra, images))
     rep.add("multiplicative", bad is None, _pair_witness(A, bad))
 
     bad = comultiplicativity_failure(f, A.basis_comul, M, B.comul_of)

@@ -13,6 +13,9 @@ grid over the host's flat tensor basis, with exact multiplication and
 inversion inside the algebra H (x) H.  Inversion first tries closed-form
 candidates (e.g. (S (x) id)(R)) confirmed by multiplication, then falls
 back to the regular-representation linear solve, built as sparse rows.
+verify_rmatrix forms R Delta(e_i) for every i as one hopf.tt_row, and
+apply_twist J Delta(e_i) likewise; the fixed right factor on the other
+side (R, J^-1) is one single-image row, built once for every i.
 
 Transmutation holds the adjoint action h_(1) v S(h_(2)) once, as sparse
 columns.  transmute and check_braided_projection share braided_product,
@@ -29,6 +32,8 @@ from .algebra import (
     dense_vector,
     multiplicativity_failure,
     nonzero_terms,
+    pairwise_row,
+    row_product,
     same_vector,
     verify_algebra,
 )
@@ -59,6 +64,7 @@ from .hopf import (
     tt_flip,
     tt_mul,
     tt_outer,
+    tt_row,
     tt_unit,
     tensor_hopf,
     _antipode_ok,
@@ -175,9 +181,11 @@ class TensorSquareElement:
         n = d * d
         rows = [{} for _ in range(n)]
         for k in range(d):
-            for l in range(d):
-                for (i, j), v in tt_mul(self.host, self.coeffs, {(k, l): f.one}).items():
-                    rows[i * d + j][k * d + l] = v
+            units = [{(k, l): f.one} for l in range(d)]
+            for l, column in enumerate(tt_row(self.host, units)(self.coeffs)):
+                for (i, j), v in column.items():
+                    if not f.is_zero(v):
+                        rows[i * d + j][k * d + l] = v
         for (i, j), v in one.items():
             rows[i * d + j][n] = v
         sol = solve_rows(f, rows, n)
@@ -228,6 +236,12 @@ class QTStructure:
         return self.hopf.field
 
 
+def require_verified(Q: QTStructure):
+    """PreconditionError unless verify_rmatrix verified Q."""
+    if not Q.verified:
+        raise PreconditionError("the quasitriangular structure is not verified")
+
+
 def verify_rmatrix(H: HopfAlgebra, R: TensorSquareElement) -> QTStructure:
     """Invertibility, both coproduct axioms, and the coproduct-flip
     intertwining on every basis element; flags are computed, not claimed."""
@@ -248,14 +262,13 @@ def verify_rmatrix(H: HopfAlgebra, R: TensorSquareElement) -> QTStructure:
     r12 = t3_embed(f, R.coeffs, (0, 1), unit)
     rep.add("(id x Delta)(R) = R13 R12", lhs == t3_mul(H, r13, r12))
 
-    ok, wit = True, None
-    for i in range(H.dim):
-        delta = comul_dict(H.basis_comul, i)
-        delta_op = tt_flip(delta)
-        if tt_mul(H, R.coeffs, delta) != tt_mul(H, delta_op, R.coeffs):
-            ok, wit = False, {"basis": H.names[i]}
-            break
-    rep.add("R Delta(h) = flipped-Delta(h) R", ok, wit)
+    # R Delta(e_i) for every i in one row; Delta^op(e_i) R through one
+    # row of the fixed right factor R
+    deltas = [comul_dict(H.basis_comul, i) for i in range(H.dim)]
+    times_r = tt_row(H, [R.coeffs])
+    bad = next((i for i, lhs in enumerate(tt_row(H, deltas)(R.coeffs))
+                if not same_vector(f, lhs, times_r(tt_flip(deltas[i]))[0])), None)
+    rep.add("R Delta(h) = flipped-Delta(h) R", bad is None, _basis_witness(H, bad))
 
     verified = rep.ok
     q = QTStructure(H, R, rep, verified, R_inv=rinv)
@@ -415,11 +428,13 @@ def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
     f = H.field
     d = H.dim
     J, Jinv = twist.J, twist.J_inv
+    # J Delta(e_i) for every i in one row, then times J^-1 through one row
+    # of that fixed right factor
+    deltas = [comul_dict(H.basis_comul, i) for i in range(d)]
+    times_jinv = tt_row(H, [Jinv.coeffs])
     comul = SparseTensor3(f, (d, d, d))
-    for i in range(d):
-        delta = comul_dict(H.basis_comul, i)
-        twisted = tt_mul(H, tt_mul(H, J.coeffs, delta), Jinv.coeffs)
-        for (j, k), v in sorted(twisted.items()):
+    for i, j_delta in enumerate(tt_row(H, deltas)(J.coeffs)):
+        for (j, k), v in sorted(times_jinv(j_delta)[0].items()):
             comul.set(i, j, k, v)
     # the twisted bialgebra; its antipode is decided below and given to HJ
     bialgebra = HopfAlgebra(H.algebra, comul, list(H.counit), None, list(H.names))
@@ -442,7 +457,7 @@ def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
     HJ = HopfAlgebra(H.algebra, comul, list(H.counit), antipode, list(H.names))
     RJ = None
     if R is not None:
-        RJ = TensorSquareElement(HJ, tt_mul(H, tt_mul(H, tt_flip(J.coeffs), R.coeffs), Jinv.coeffs))
+        RJ = TensorSquareElement(HJ, times_jinv(tt_mul(H, tt_flip(J.coeffs), R.coeffs))[0])
     return HJ, RJ
 
 
@@ -719,7 +734,8 @@ def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
     """The braided (transmuted) structure on the carrier: same algebra,
     braided coproduct a_(1) S(R_i) (x) ad_{R^i}(a_(2)) and braided
     antipode R_i S(ad_{R^i}(a)); with pi, the structure is induced on the
-    quotient through the pushed-forward R-matrix."""
+    quotient through the pushed-forward R-matrix; Q must be verified."""
+    require_verified(Q)
     if pi is not None:
         if not pi.verify().ok or not pi.is_surjective():
             raise PreconditionError("transmute needs a verified surjective quotient map")
@@ -768,7 +784,7 @@ def _verify_braided(data: BraidedHopfData) -> Report:
 
     deltas = [comul_dict(data.basis_braided_comul, t) for t in range(d)]
     product = braided_product(H.algebra, H.algebra, data.R, data.action, data.action)
-    bad = multiplicativity_failure(f, H.mul.pair_index(), deltas, product)
+    bad = multiplicativity_failure(f, H.mul.pair_index(), deltas, pairwise_row(deltas, product))
     rep.add("braided coproduct is multiplicative for the braiding", bad is None,
             _pair_witness(H, bad))
 
@@ -789,8 +805,7 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
     adjoint actions, and the braided coproduct pushed through it makes the
     carrier a comodule algebra (the braided compatibility square); Q must
     be verified."""
-    if not Q.verified:
-        raise PreconditionError("the quasitriangular structure is not verified")
+    require_verified(Q)
     rep = Report()
     H = Q.hopf
     f = H.field
@@ -814,7 +829,7 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
     # (id x pi) o braided-Delta is multiplicative for the braided product on H (x) K
     pushed = [tt_apply(f, comul_dict(BH.basis_braided_comul, t), None, P) for t in range(d)]
     product = braided_product(H.algebra, BK.hopf.algebra, Q.R, BH.action, ad_K)
-    bad = multiplicativity_failure(f, H.mul.pair_index(), pushed, product)
+    bad = multiplicativity_failure(f, H.mul.pair_index(), pushed, pairwise_row(pushed, product))
     rep.add("braided comodule-algebra compatibility", bad is None, _pair_witness(H, bad))
     return rep
 
@@ -836,7 +851,8 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
     <S(f_1) f_3, S(g_1)>_R f_2 g_2 and antipode
     <S^2(f_3) S(f_1), f_4>_R S(f_2); verified for associativity, unit,
     the braided convolution law, and the intertwining of the monodromy
-    pairing map with the braided structures."""
+    pairing map with the braided structures; Q must be verified."""
+    require_verified(Q)
     H = Q.hopf
     f = H.field
     d = H.dim
@@ -893,8 +909,7 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
     bh = transmute(Q)
     phi = monodromy(Q).to_matrix().transpose()
     images = [dict(col) for col in sparse_columns(phi)]
-    bad = multiplicativity_failure(f, product.pair_index(), images,
-                                   lambda x, y: H.algebra.product_terms(x.items(), y.items()))
+    bad = multiplicativity_failure(f, product.pair_index(), images, row_product(H.algebra, images))
     rep.add("pairing map is multiplicative for the braided product", bad is None,
             None if bad is None else {"pair": bad})
 

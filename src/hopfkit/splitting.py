@@ -57,6 +57,7 @@ from .qt import (
     lr_maps,
     monodromy,
     phi_maps,
+    require_verified,
     verify_rmatrix,
     verify_twist,
 )
@@ -246,7 +247,7 @@ def mueger_quotient(Q: QTStructure, pi: HopfMorphism):
     """Quotient of H by the Hopf ideal generated by the monodromy image
     of the dual of the given quotient; returns (QuotientData, QTStructure
     on the complement quotient)."""
-    _require_qt(Q)
+    require_verified(Q)
     _require_surjection(pi)
     maps = phi_maps(Q, pi)
     qd = quotient_by_coideal(Q.hopf, maps.image)
@@ -261,7 +262,7 @@ def mueger_quotient(Q: QTStructure, pi: HopfMorphism):
 def split_via_factorizable(Q: QTStructure, pi: HopfMorphism) -> SplitCertificate:
     """Split (H, R) along a quotient whose pushed R-matrix is
     factorizable: L1 = right coinvariants, L2 = monodromy image."""
-    _require_qt(Q)
+    require_verified(Q)
     _require_surjection(pi)
     if not _pushed_qt(Q, pi).factorizable:
         raise PreconditionError("the quotient quasitriangular structure is not factorizable")
@@ -274,7 +275,7 @@ def split_via_fullrank(Q: QTStructure, pi: HopfMorphism) -> SplitCertificate:
     """Split (H, R) along a quotient with equal one-sided coinvariants and
     a full-rank pushed R-matrix: L1 = coinvariants, L2 = image of the
     pulled-back first-leg pairing map."""
-    _require_qt(Q)
+    require_verified(Q)
     _require_surjection(pi)
     H = Q.hopf
     f = H.field
@@ -328,7 +329,7 @@ def double_splitting(KQ: QTStructure) -> SplitCertificate:
     This J is a twist for J Delta J^-1 also on a non-commutative K: the
     double of sweedler's H4 passes every check.
     """
-    _require_qt(KQ)
+    require_verified(KQ)
     if not KQ.factorizable:
         raise PreconditionError("double_splitting needs a factorizable input")
     K = KQ.hopf
@@ -535,11 +536,6 @@ def _pushed_qt(Q: QTStructure, pi: HopfMorphism) -> QTStructure:
     if not qk.verified:
         raise PreconditionError("pushed R-matrix on the quotient failed verification")
     return qk
-
-
-def _require_qt(Q: QTStructure):
-    if not Q.verified:
-        raise PreconditionError("the quasitriangular structure is not verified")
 
 
 def _require_surjection(pi: HopfMorphism):

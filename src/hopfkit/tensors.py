@@ -2,7 +2,8 @@
 
 A SparseTensor3 stores a map (i, j, k) -> scalar with no zero values and
 lexicographic iteration order.  Multiplication tensors are read through
-the (i, j) -> [(k, c)] index, comultiplication tensors through the
+the (i, j) -> [(k, c)] index and its right-neighbour lists
+i -> [(j, [(k, c)])], comultiplication tensors through the
 i -> [(j, k, c)] index.
 """
 
@@ -12,7 +13,8 @@ from .errors import UsageError
 
 
 class SparseTensor3:
-    __slots__ = ("field", "dims", "entries", "_pair_index", "_first_index", "_third_index")
+    __slots__ = ("field", "dims", "entries", "_pair_index", "_right_index", "_first_index",
+                 "_third_index")
 
     def __init__(self, field, dims, entries=None):
         self.field = field
@@ -24,6 +26,7 @@ class SparseTensor3:
             for (i, j, k), v in entries.items() if isinstance(entries, dict) else entries:
                 self.set(i, j, k, v)
         self._pair_index = None
+        self._right_index = None
         self._first_index = None
         self._third_index = None
 
@@ -36,6 +39,7 @@ class SparseTensor3:
         else:
             self.entries[(i, j, k)] = v
         self._pair_index = None
+        self._right_index = None
         self._first_index = None
         self._third_index = None
 
@@ -57,6 +61,16 @@ class SparseTensor3:
                 idx.setdefault((i, j), []).append((k, v))
             self._pair_index = idx
         return self._pair_index
+
+    def right_index(self):
+        """i -> list of (j, [(k, c)]) over the j with a nonempty (i, j) entry
+        of pair_index, in increasing j: the right neighbours of e_i."""
+        if self._right_index is None:
+            idx = {}
+            for (i, j), terms in self.pair_index().items():
+                idx.setdefault(i, []).append((j, terms))
+            self._right_index = idx
+        return self._right_index
 
     def first_index(self):
         """i -> list of (j, k, c), deterministic order."""

@@ -378,6 +378,48 @@ def tensor_square_product(raw, u, v):
     return out
 
 
+def sparse_coproducts(raw):
+    """Delta(e_k) for every k as a sparse dict {(a, b): value}."""
+    p = raw["p"]
+    out = [{} for _ in range(raw["dim"])]
+    for (k, a, b), c in raw["comul"].items():
+        _acc(p, out[k], (a, b), c)
+    return out
+
+
+def first_unmultiplicative_coproduct_row(raw):
+    """(i, js): the first basis index i with Delta(e_i e_j) !=
+    Delta(e_i) Delta(e_j) for some j, and every such j in increasing
+    order, or (None, []); each pair is one tt_mul of two coproducts."""
+    p = raw["p"]
+    d = raw["dim"]
+    mi = mul_index(raw)
+    deltas = sparse_coproducts(raw)
+    for i in range(d):
+        js = []
+        for j in range(d):
+            lhs = {}
+            for k, c in mi.get((i, j), []):
+                for key, v in deltas[k].items():
+                    _acc(p, lhs, key, s_mul(p, c, v))
+            if lhs != tt_mul(raw, deltas[i], deltas[j], mi):
+                js.append(j)
+        if js:
+            return i, js
+    return None, []
+
+
+def first_unintertwined_index(raw, R):
+    """First basis index i with R Delta(e_i) != Delta^op(e_i) R for a
+    sparse R = {(i, j): value}, or None."""
+    mi = mul_index(raw)
+    for i, delta in enumerate(sparse_coproducts(raw)):
+        flipped = {(b, a): v for (a, b), v in delta.items()}
+        if tt_mul(raw, R, delta, mi) != tt_mul(raw, flipped, R, mi):
+            return i
+    return None
+
+
 def export_antipode(H):
     """The antipode of H as raw rows: column j is S(e_j)."""
     p = getattr(H.field, "p", None)

@@ -14,7 +14,7 @@ import pytest
 
 import oracle
 from hopfkit import check_braided_projection, transmute
-from hopfkit.algebra import multiplicativity_failure
+from hopfkit.algebra import multiplicativity_failure, pairwise_row
 from hopfkit.hopf import comul_dict, tt_apply
 import hopfkit.qt as qt
 
@@ -94,7 +94,8 @@ def test_multiplicativity_witnesses_of_changed_images_match_the_oracle(case):
     f = H.field
     raw = oracle.export_hopf(H)
     dense_product = lambda u, v: _dense(expected(_sparse(u, dk), _sparse(v, dk)), H.dim, dk)
-    assert multiplicativity_failure(f, H.mul.pair_index(), images, product) is None
+    assert multiplicativity_failure(
+        f, H.mul.pair_index(), images, pairwise_row(images, product)) is None
     seen = set()
     for k in (0, 1, H.dim // 2, H.dim - 1):
         keys = sorted(images[k])
@@ -107,7 +108,8 @@ def test_multiplicativity_witnesses_of_changed_images_match_the_oracle(case):
             bad = oracle.first_unmultiplicative_pair(
                 raw, [_dense(x, H.dim, dk) for x in changed], dense_product)
             assert bad is not None
-            assert multiplicativity_failure(f, H.mul.pair_index(), changed, product) == bad
+            assert multiplicativity_failure(
+                f, H.mul.pair_index(), changed, pairwise_row(changed, product)) == bad
             seen.add(bad)
     # the changed images reach more than one failing pair
     assert len(seen) > 1

@@ -69,7 +69,6 @@ def test_braided_structures_golden(request, name):
                  "braided_antipode": matrix_to_json(bh.braided_antipode)}) == transmute_hash
 
 
-@pytest.mark.slow
 def test_double_of_double_h4_dim256(double_h4):
     Q = drinfeld_double(double_h4.hopf)
     assert Q.hopf.dim == 256

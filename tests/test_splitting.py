@@ -341,7 +341,6 @@ def test_split_fullrank_rejects_unequal_coinvariants(h4, h4_r0, kz2):
         split_via_fullrank(h4_r0, pi)
 
 
-@pytest.mark.slow
 def test_double_splitting_dim81(double_kz3_gf7):
     cert = double_splitting(double_kz3_gf7)
     assert cert.source.hopf.dim == 81
@@ -351,6 +350,21 @@ def test_double_splitting_dim81(double_kz3_gf7):
     deep = [c for c in cert.checks.checks
             if c.name == "twisted componentwise R-matrix verifies directly"]
     assert len(deep) == 1 and deep[0].ok
+
+
+@pytest.mark.slow
+def test_double_splitting_dim256_and_check_cert(double_h4):
+    # the full certificate of D(D(H4)) over Q and its check-cert round trip
+    cert = double_splitting(double_h4)
+    assert cert.source.hopf.dim == 256
+    assert cert.ok, cert.checks.first_failure()
+    assert cert.dims() == (16, 16)
+    text = dumps_stable(certificate_to_json(cert))
+    loaded = certificate_from_json(json.loads(text))
+    rep = verify_certificate(loaded)
+    assert rep.ok, rep.first_failure()
+    assert [c.name for c in rep.checks] == [c.name for c in verify_certificate(cert).checks]
+    assert dumps_stable(certificate_to_json(loaded)) == text
 
 
 def test_certificates_are_deterministic(split_input):

@@ -5,7 +5,10 @@ comultiplication or the counit of a small Hopf algebra over GF(7).  For
 every changed structure the first failing basis pair or index that a
 verifier reports must be the oracle's: both algebra-map checks of
 verify_hopf, verify_morphism of the identity matrix onto the changed
-structure, and the rejection of a supplied character."""
+structure, and the rejection of a supplied character.  The same holds
+for the coproduct check of the 81-dimensional D(D(kZ3)), whose changed
+structures fail on rows past the first with several failing pairs, and
+for the intertwining check of a changed R-matrix on D(H4)."""
 
 from fractions import Fraction
 
@@ -15,6 +18,7 @@ import oracle
 from hopfkit import (
     HopfAlgebra,
     HopfMorphism,
+    TensorSquareElement,
     characters,
     cyclic_group_algebra,
     drinfeld_double,
@@ -22,6 +26,7 @@ from hopfkit import (
     symmetric_group_algebra,
     taft,
     verify_hopf,
+    verify_rmatrix,
     verify_twist,
 )
 from hopfkit.algebra import AlgebraPresentation, multiplicativity_failure, scalar_images
@@ -146,3 +151,38 @@ def test_twist_identity_matches_the_oracle_on_double_h4(double_h4):
         coeffs = {k: Fraction(v) for k, v in J.coeffs.items()}
         assert oracle.twist_identity_holds(raw, coeffs) is holds
         assert _check(verify_twist(D, J).report, "2-cocycle identity").ok is holds
+
+
+def test_coproduct_witnesses_at_dim_81_match_the_oracle():
+    H = drinfeld_double(drinfeld_double(cyclic_group_algebra(GF7, 3)).hopf).hopf
+    assert H.dim == 81
+    rows = []
+    for M in _mutants(H)[:6]:  # the changed multiplications and comultiplications
+        i, js = oracle.first_unmultiplicative_coproduct_row(oracle.export_hopf(M))
+        check = _check(verify_hopf(M), "comultiplication is an algebra map")
+        assert check.witness == (None if i is None else _pair(M, (i, js[0])))
+        rows.append((i, js))
+    # a first failing row past e_0 with more than one failing pair
+    assert any(i is not None and i > 0 and len(js) >= 2 for i, js in rows)
+
+
+@pytest.fixture(scope="module")
+def double_h4_gf7():
+    return drinfeld_double(sweedler(GF7))
+
+
+def test_intertwining_witnesses_of_changed_r_match_the_oracle(double_h4_gf7):
+    D = double_h4_gf7.hopf
+    raw = oracle.export_hopf(D)
+    keys = sorted(double_h4_gf7.R.coeffs)
+    seen = set()
+    for key in (keys[0], keys[len(keys) // 2], keys[-1], (D.dim - 1, D.dim - 1)):
+        coeffs = dict(double_h4_gf7.R.coeffs)
+        coeffs[key] = GF7.add(coeffs.get(key, GF7.zero), GF7.one)
+        Q = verify_rmatrix(D, TensorSquareElement(D, coeffs))
+        bad = oracle.first_unintertwined_index(raw, {k: int(v) for k, v in coeffs.items()})
+        check = _check(Q.report, "R Delta(h) = flipped-Delta(h) R")
+        assert check.witness == (None if bad is None else {"basis": D.names[bad]})
+        seen.add(bad)
+    assert len(seen - {None, 0}) >= 1
+

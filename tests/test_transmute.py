@@ -154,3 +154,14 @@ def test_braided_dual_pairing_map_checks_on_double(double_kz2):
 def test_braided_dual_sweedler(h4_r_fullrank):
     bd = braided_dual(h4_r_fullrank)
     assert bd.report.ok
+
+
+@pytest.mark.parametrize("construct", [transmute, braided_dual])
+def test_braided_structures_reject_an_unverified_r(h4, kz2, h4_r_fullrank, construct):
+    # g (x) 1 is not an R-matrix on kZ2: R on H4 (x) kZ2 fails one axiom
+    T = tensor_hopf(h4, kz2)
+    r2 = TensorSquareElement(kz2, {(1, 0): QQ.one})
+    Q = verify_rmatrix(T, componentwise_r(T, h4_r_fullrank.R, r2))
+    assert [c.name for c in Q.report.checks if not c.ok] == ["(id x Delta)(R) = R13 R12"]
+    with pytest.raises(PreconditionError, match="the quasitriangular structure is not verified"):
+        construct(Q)
