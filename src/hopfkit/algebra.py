@@ -416,10 +416,10 @@ def minimal_polynomial(M: Matrix):
 def _rational_roots(field, poly):
     """All roots in Q with multiplicity; complete by the rational root test."""
     roots = []
-    f = list(poly)
+    f = [field.from_rational(c) for c in poly]
     # strip roots at zero
     while len(f) > 1 and f[0] == 0:
-        roots.append(Fraction(0))
+        roots.append(field.zero)
         f = f[1:]
     while len(f) > 1:
         # integer-scale the polynomial
@@ -430,7 +430,7 @@ def _rational_roots(field, poly):
         for num in sorted(_divisors(a0)):
             for den in sorted(_divisors(an)):
                 for sgn in (1, -1):
-                    cand = Fraction(sgn * num, den)
+                    cand = field.from_rational(Fraction(sgn * num, den))
                     if _poly_eval_field(field, f, cand) == 0:
                         found = cand
                         break
@@ -494,13 +494,13 @@ def field_roots(field, poly):
             cof = _deflate_field(field, cof, r)
         return flat, cof, True
     if isinstance(field, Rationals):
-        roots, cof = _rational_roots(field, [Fraction(c) for c in poly])
+        roots, cof = _rational_roots(field, poly)
         return roots, cof, True
     if isinstance(field, CyclotomicField):
         candidates = list(field.roots_of_unity())
         candidates.append(field.zero)
         for q in (2, 3, -2, -3):
-            candidates.append(field.from_rational(Fraction(q)))
+            candidates.append(field.from_rational(q))
         f = list(poly)
         roots = []
         progress = True

@@ -3,14 +3,19 @@
 A field object owns the arithmetic; scalars are plain immutable Python
 values in a canonical form that is unique per field element:
 
-* rationals        -- ``fractions.Fraction`` (always reduced),
+* rationals        -- ``int`` when integral, else a reduced
+                      ``fractions.Fraction`` with denominator > 1,
 * GF(p)            -- ``int`` in ``[0, p)``,
 * cyclotomic(n)    -- tuple of ``Fraction`` of length deg(Phi_n), the
                       coefficients of the residue mod the n-th cyclotomic
                       polynomial, lowest degree first.
 
 All operations are pure and never leave canonical form, so ``==`` on raw
-values is exact equality in the field.
+values is exact equality in the field.  A rational is an ``int`` where it
+can be because structure constants over Q are almost all 0 or +-1, and
+``int`` arithmetic on them is many times faster than ``Fraction``
+arithmetic; an ``int`` and the equal ``Fraction`` compare, hash and print
+the same, so nothing shown, hashed or stored depends on which one is held.
 
 Inside, the cyclotomic arithmetic runs on integers: a product convolves
 the integer numerators of its operands over their common denominators
@@ -161,30 +166,49 @@ class Field:
 
 
 class Rationals(Field):
+    """Q.  A value is an ``int`` when it is integral and a reduced
+    ``Fraction`` with denominator > 1 otherwise; ``from_rational`` puts
+    any rational into that form."""
+
     kind = "rationals"
     characteristic = 0
 
     def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+        self.zero = 0
+        self.one = 1
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def neg(self, a):
         return -a
 
+    def is_zero(self, a) -> bool:
+        return a == 0
+
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        if type(c) is int or c.denominator != 1:
+            return c
+        return c.numerator
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("division by zero in the rationals")
-        return 1 / a
+        return self.from_rational(Fraction(1) / a)
+
+    def from_rational(self, q):
+        """q, an ``int``, a ``Fraction`` or a string that ``Fraction``
+        reads, as a value of this field."""
+        q = Fraction(q)
+        return q.numerator if q.denominator == 1 else q
 
     def parse(self, text: str):
         try:
-            return Fraction(text.strip())
+            return self.from_rational(text.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise UsageError(f"bad rational scalar {text!r}: {exc}") from None
 

@@ -135,18 +135,30 @@ def tt_flip(A: dict) -> dict:
 
 
 def tt_apply(field, A: dict, M1, M2) -> dict:
-    """Apply linear maps legwise; None means identity on that leg."""
+    """Apply linear maps legwise; None means identity on that leg.  Each
+    sparse column of a map is read on first use and kept for the call,
+    shared by both legs when M2 is M1."""
+
+    def columns(M):
+        if M is None:
+            return lambda i: [(i, field.one)]
+        cache = {}
+
+        def column(i):
+            col = cache.get(i)
+            if col is None:
+                col = cache[i] = nonzero_terms(field, M.column(i))
+            return col
+
+        return column
+
+    column1 = columns(M1)
+    column2 = column1 if M2 is M1 else columns(M2)
     out = {}
     for (i, j), v in A.items():
-        col1 = [(i, field.one)] if M1 is None else [
-            (r, M1.rows[r][i]) for r in range(M1.nrows) if not field.is_zero(M1.rows[r][i])
-        ]
-        col2 = [(j, field.one)] if M2 is None else [
-            (r, M2.rows[r][j]) for r in range(M2.nrows) if not field.is_zero(M2.rows[r][j])
-        ]
-        for r1, a in col1:
+        for r1, a in column1(i):
             va = field.mul(v, a)
-            for r2, b in col2:
+            for r2, b in column2(j):
                 _put(field, out, (r1, r2), field.mul(va, b))
     return out
 
@@ -861,15 +873,13 @@ def skew_primitive_space(H: HopfAlgebra, g, h) -> Subspace:
 
 
 def _iso_scalar_grid(field):
-    from fractions import Fraction
-
     from .fields import CyclotomicField, PrimeField
 
     if isinstance(field, PrimeField) and field.p <= 13:
         return [x for x in range(1, field.p)]
     if isinstance(field, CyclotomicField):
         grid = [u for u in field.roots_of_unity()]
-        grid += [field.from_rational(Fraction(v)) for v in (2, -2)]
+        grid += [field.from_rational(v) for v in (2, -2)]
         return grid
     return [field.parse(s) for s in ("1", "-1", "2", "-2", "1/2", "-1/2", "3", "-3")]
 

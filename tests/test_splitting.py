@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -352,14 +353,19 @@ def test_double_splitting_dim81(double_kz3_gf7):
     assert len(deep) == 1 and deep[0].ok
 
 
-@pytest.mark.slow
+# sha256 of the stable JSON of the D(D(H4)) certificate (1918808 bytes)
+DIM256_CERT_DIGEST = "1801b3d209f688917b59168a5b1c513dffaef7f54f7292882b320d4755e454dc"
+
+
 def test_double_splitting_dim256_and_check_cert(double_h4):
-    # the full certificate of D(D(H4)) over Q and its check-cert round trip
+    # the full certificate of D(D(H4)) over Q, its bytes and its check-cert
+    # round trip
     cert = double_splitting(double_h4)
     assert cert.source.hopf.dim == 256
     assert cert.ok, cert.checks.first_failure()
     assert cert.dims() == (16, 16)
     text = dumps_stable(certificate_to_json(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIM256_CERT_DIGEST
     loaded = certificate_from_json(json.loads(text))
     rep = verify_certificate(loaded)
     assert rep.ok, rep.first_failure()
