@@ -119,7 +119,17 @@ def dense_vector(field, dim, vec: dict):
 
 def same_vector(field, u: dict, v: dict) -> bool:
     """Equality of two dict vectors i -> a, zero entries ignored."""
-    return u == v or dict(nonzero_terms(field, u)) == dict(nonzero_terms(field, v))
+    if u == v:
+        return True
+    is_zero = field.is_zero
+    for i, a in u.items():
+        b = v.get(i)
+        if b is None:
+            if not is_zero(a):
+                return False
+        elif a != b:
+            return False
+    return all(i in u or is_zero(b) for i, b in v.items())
 
 
 def verify_algebra(A: AlgebraPresentation) -> Report:

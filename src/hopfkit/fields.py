@@ -6,22 +6,25 @@ values in a canonical form that is unique per field element:
 * rationals        -- ``int`` when integral, else a reduced
                       ``fractions.Fraction`` with denominator > 1,
 * GF(p)            -- ``int`` in ``[0, p)``,
-* cyclotomic(n)    -- tuple of ``Fraction`` of length deg(Phi_n), the
-                      coefficients of the residue mod the n-th cyclotomic
-                      polynomial, lowest degree first.
+* cyclotomic(n)    -- tuple of length deg(Phi_n) of rationals in the
+                      same form as above (``int`` when integral, else a
+                      reduced ``Fraction``), the coefficients of the
+                      residue mod the n-th cyclotomic polynomial, lowest
+                      degree first.
 
 All operations are pure and never leave canonical form, so ``==`` on raw
 values is exact equality in the field.  A rational is an ``int`` where it
-can be because structure constants over Q are almost all 0 or +-1, and
-``int`` arithmetic on them is many times faster than ``Fraction``
-arithmetic; an ``int`` and the equal ``Fraction`` compare, hash and print
-the same, so nothing shown, hashed or stored depends on which one is held.
+can be because structure constants over Q and Q(z_n) are almost all 0 or
++-1, and ``int`` arithmetic on them is many times faster than
+``Fraction`` arithmetic; an ``int`` and the equal ``Fraction`` compare,
+hash and print the same, so nothing shown, hashed or stored depends on
+which one is held.
 
 Inside, the cyclotomic arithmetic runs on integers: a product convolves
 the integer numerators of its operands over their common denominators
 and reduces by an integer table of x^k mod Phi_n, and an inverse is the
 product of the Galois conjugates over the norm.  Only the result is
-turned back into reduced ``Fraction`` coordinates, so the values, and
+divided by its denominator, coordinate by coordinate, so the values, and
 everything shown, hashed or stored from them, are the same as with
 ``Fraction`` arithmetic throughout.
 """
@@ -165,6 +168,14 @@ class Field:
         return hash(tuple(sorted(self.to_json().items())))
 
 
+def _rational(c):
+    """The rational c (an ``int`` or a ``Fraction``) in canonical form:
+    the ``int`` when it is integral."""
+    if type(c) is int or c.denominator != 1:
+        return c
+    return c.numerator
+
+
 class Rationals(Field):
     """Q.  A value is an ``int`` when it is integral and a reduced
     ``Fraction`` with denominator > 1 otherwise; ``from_rational`` puts
@@ -203,8 +214,7 @@ class Rationals(Field):
     def from_rational(self, q):
         """q, an ``int``, a ``Fraction`` or a string that ``Fraction``
         reads, as a value of this field."""
-        q = Fraction(q)
-        return q.numerator if q.denominator == 1 else q
+        return _rational(Fraction(q))
 
     def parse(self, text: str):
         try:
@@ -273,16 +283,12 @@ class PrimeField(Field):
         return f"GF({self.p})"
 
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
 def _integer_terms(terms):
-    """(common denominator D, [(i, D * x)]) for sparse Fraction terms
+    """(common denominator D, [(i, D * x)]) for sparse rational terms
     [(i, x)], so that every D * x is an integer."""
+    if all(type(x) is int for _, x in terms):
+        return 1, terms
     den = math.lcm(*[x.denominator for _, x in terms])
-    if den == 1:
-        return 1, [(i, x.numerator) for i, x in terms]
     return den, [(i, x.numerator * (den // x.denominator)) for i, x in terms]
 
 
@@ -316,10 +322,14 @@ def _parse_cyclo_term(raw: str):
 class CyclotomicField(Field):
     """Q[z] / (Phi_n(z)); ``z`` is a primitive n-th root of unity.
 
-    Phi_n is monic with integer coefficients, so x^k mod Phi_n is an
-    integer vector and a product of two numerator vectors reduces without
-    a fraction; each result coordinate is one ``Fraction(num, den)``.
-    ``mul`` by a zero or one operand returns at once.
+    A coordinate is an ``int`` when it is integral and a reduced
+    ``Fraction`` with denominator > 1 otherwise; ``from_rational`` puts
+    any rational into that form.  Phi_n is monic with integer
+    coefficients, so x^k mod Phi_n is an integer vector and a product of
+    two numerator vectors reduces without a fraction; each result
+    coordinate is num // den when den divides num, else one
+    ``Fraction(num, den)``.  ``mul`` by a zero or one operand returns at
+    once.
     """
 
     kind = "cyclotomic"
@@ -331,8 +341,8 @@ class CyclotomicField(Field):
         self.n = n
         self.modulus = cyclotomic_polynomial(n)
         self.degree = d = len(self.modulus) - 1
-        self.zero = tuple([_ZERO] * d)
-        self.one = (_ONE,) + self.zero[1:]
+        self.zero = (0,) * d
+        self.one = (1,) + self.zero[1:]
         # x^k mod Phi_n as sparse integer vectors [(i, c)], for every k a
         # product (k <= 2d - 2) or a Galois conjugate (k < n) can reach
         phi = [int(c) for c in self.modulus]
@@ -351,9 +361,9 @@ class CyclotomicField(Field):
     def generator(self):
         if self.degree == 1:
             # Phi_1 = x - 1 or Phi_2 = x + 1: z is rational
-            return tuple([-self.modulus[0]])
-        g = [_ZERO] * self.degree
-        g[1] = _ONE
+            return (-int(self.modulus[0]),)
+        g = [0] * self.degree
+        g[1] = 1
         return tuple(g)
 
     def add(self, a, b):
@@ -362,7 +372,7 @@ class CyclotomicField(Field):
             return b
         if b is zero:
             return a
-        return tuple(x + y if x and y else x or y for x, y in zip(a, b))
+        return tuple(_rational(x + y) if x and y else x or y for x, y in zip(a, b))
 
     def sub(self, a, b):
         zero = self.zero
@@ -370,7 +380,7 @@ class CyclotomicField(Field):
             return a
         if a is zero:
             return self.neg(b)
-        return tuple(x - y if y else x for x, y in zip(a, b))
+        return tuple(_rational(x - y) if y else x for x, y in zip(a, b))
 
     def neg(self, a):
         if a is self.zero:
@@ -395,10 +405,10 @@ class CyclotomicField(Field):
             return zero
         if len(sa) == 1 and not sa[0][0]:
             q = sa[0][1]
-            return tuple(y * q if y else y for y in b)
+            return tuple(_rational(y * q) if y else y for y in b)
         if len(sb) == 1 and not sb[0][0]:
             q = sb[0][1]
-            return tuple(x * q if x else x for x in a)
+            return tuple(_rational(x * q) if x else x for x in a)
         da, na = _integer_terms(sa)
         db, nb = _integer_terms(sb)
         return self._from_integers(self._int_mul(na, nb), da * db)
@@ -444,12 +454,15 @@ class CyclotomicField(Field):
         return sorted(out.items())
 
     def _from_integers(self, nums, den):
-        return tuple(Fraction(c, den) if c else _ZERO for c in nums)
+        """The element with coordinates nums[i] / den (den a nonzero int)."""
+        if den == 1:
+            return tuple(nums)
+        return tuple(c // den if not c % den else Fraction(c, den) for c in nums)
 
-    def from_rational(self, q: Fraction):
-        out = [Fraction(0)] * self.degree
-        out[0] = Fraction(q)
-        return tuple(out)
+    def from_rational(self, q):
+        """q, an ``int``, a ``Fraction`` or a string that ``Fraction``
+        reads, as a value of this field."""
+        return (_rational(Fraction(q)),) + self.zero[1:]
 
     def parse(self, text: str):
         text = text.strip().replace("-", "+-")

@@ -135,13 +135,16 @@ def tt_flip(A: dict) -> dict:
 
 
 def tt_apply(field, A: dict, M1, M2) -> dict:
-    """Apply linear maps legwise; None means identity on that leg.  Each
-    sparse column of a map is read on first use and kept for the call,
-    shared by both legs when M2 is M1."""
+    """Apply linear maps legwise; None means identity on that leg, and a
+    list is the map's sparse columns (sparse_columns).  Each sparse column
+    of a Matrix is read on first use and kept for the call, shared by both
+    legs when M2 is M1."""
 
     def columns(M):
         if M is None:
             return lambda i: [(i, field.one)]
+        if isinstance(M, list):
+            return M.__getitem__
         cache = {}
 
         def column(i):
@@ -409,8 +412,9 @@ def comultiplicativity_failure(field, basis_comul, M, comul_of):
     """First basis index i with (M x M) Delta(e_i) unequal to
     comul_of(M e_i), or None; basis_comul lists the source coproduct as in
     antipode_failure and comul_of is the target coproduct of a dense vector."""
+    columns = sparse_columns(M)
     for i in range(M.ncols):
-        lhs = tt_apply(field, comul_dict(basis_comul, i), M, M)
+        lhs = tt_apply(field, comul_dict(basis_comul, i), columns, columns)
         if not same_vector(field, lhs, comul_of(M.column(i))):
             return i
     return None

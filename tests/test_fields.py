@@ -156,15 +156,21 @@ CYCLOTOMIC_INDICES = [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15]
 _CYCLOTOMIC_FIELDS = {n: CyclotomicField(n) for n in CYCLOTOMIC_INDICES}
 
 
+def _canonical(q):
+    """The Fraction q as the field stores it: an int when integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 @st.composite
 def _cyclotomic_operands(draw, indices=CYCLOTOMIC_INDICES, extra_kinds=()):
     """(field, a, b, c): operands that are the field's zero object, a
     fresh zero tuple, rational, monomial or dense with mixed denominators,
     and, when ``extra_kinds`` names them, the field's one object ("one")
-    or an equal tuple built separately ("fresh one")."""
+    or an equal tuple built separately ("fresh one").  Every coordinate is
+    in canonical form: an int when integral, else a reduced Fraction."""
     field = _CYCLOTOMIC_FIELDS[draw(st.sampled_from(indices))]
     d = field.degree
-    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12)
+    coeff = st.fractions(min_value=-50, max_value=50, max_denominator=12).map(_canonical)
 
     def element():
         kind = draw(st.sampled_from(["zero", "fresh zero", "rational", "monomial", "dense",
@@ -174,8 +180,8 @@ def _cyclotomic_operands(draw, indices=CYCLOTOMIC_INDICES, extra_kinds=()):
         if kind == "one":
             return field.one
         if kind == "fresh one":
-            return tuple(Fraction(int(i == 0)) for i in range(d))
-        v = [Fraction(0)] * d
+            return tuple(int(i == 0) for i in range(d))
+        v = [0] * d
         if kind == "rational":
             v[0] = draw(coeff)
         elif kind == "monomial":
@@ -203,11 +209,13 @@ def _schoolbook_mul(n, a, b):
 
 
 def _assert_canonical(field, v):
-    """A tuple of degree reduced Fractions with positive denominators."""
+    """A tuple of degree coordinates, each an int or a reduced Fraction
+    with denominator > 1."""
     assert isinstance(v, tuple) and len(v) == field.degree
     for x in v:
-        assert type(x) is Fraction
-        assert x.denominator > 0 and math.gcd(x.numerator, x.denominator) == 1
+        if type(x) is not int:
+            assert type(x) is Fraction
+            assert x.denominator > 1 and math.gcd(x.numerator, x.denominator) == 1
 
 
 def _same_value(field, got, want):
