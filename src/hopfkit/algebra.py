@@ -11,14 +11,15 @@ as the nullspace of a system built as sparse rows.
 
 ``multiplicativity_failure`` is the one check that a linear map is
 multiplicative on every basis pair; the comultiplication and counit of
-verify_hopf, Hopf maps, characters and the braided maps all read it.
-It compares a row at a time: F(e_i) times every image F(e_j) is formed
-in one pass by a row function (``row_product`` here, ``hopf.tt_row`` on
-H (x) H).  The images are inverted once by first leg (r -> [(j, b)]),
-and each term e_p of the left factor walks only its right neighbours
-among those legs, the r with e_p e_r != 0 (``right_partners`` over
-``SparseTensor3.right_index``), so a pair whose product vanishes costs
-nothing.
+verify_hopf, Hopf maps, characters, the braided maps and associativity
+(multiplicativity of the left regular representation, ``compose_row``)
+all read it.  It compares a row at a time: F(e_i) times every image
+F(e_j) is formed in one pass by a row function (``row_product`` here,
+``hopf.tt_row`` on H (x) H).  The images are inverted once by first
+leg (r -> [(j, b)]), and each term e_p of the left factor walks only
+its right neighbours among those legs, the r with e_p e_r != 0
+(``right_partners`` over ``SparseTensor3.right_index``), so a pair
+whose product vanishes costs nothing.
 """
 
 from __future__ import annotations
@@ -133,60 +134,33 @@ def same_vector(field, u: dict, v: dict) -> bool:
 
 
 def verify_algebra(A: AlgebraPresentation) -> Report:
-    """Associativity and two-sided unit law, with the first violating
-    basis triple as witness; basis products come straight from the pair
-    index."""
+    """Two-sided unit law and associativity, with the first violating
+    basis element or triple as witness.  Associativity is multiplicativity
+    of the left regular representation e_j -> L_j = {(k, n): mu[j,k,n]},
+    one multiplicativity_failure over compose_row; for its failing pair,
+    k is the first with (e_i e_j) e_k != e_i (e_j e_k)."""
     rep = Report()
     f = A.field
     d = A.dim
     one = f.one
     unit = nonzero_terms(f, A.unit)
-    ok = True
-    witness = None
-    for i in range(d):
-        e_i = {i: one}
-        if not same_vector(f, A.product_terms(unit, [(i, one)]), e_i):
-            ok, witness = False, {"side": "left", "basis": A.names[i]}
-            break
-        if not same_vector(f, A.product_terms([(i, one)], unit), e_i):
-            ok, witness = False, {"side": "right", "basis": A.names[i]}
-            break
-    rep.add("unit law", ok, witness)
+    witness = next(({"side": side, "basis": A.names[i]} for i in range(d)
+                    for side, us, vs in (("left", unit, [(i, one)]), ("right", [(i, one)], unit))
+                    if not same_vector(f, A.product_terms(us, vs), {i: one})), None)
+    rep.add("unit law", witness is None, witness)
 
-    # (e_i e_j) e_k and e_i (e_j e_k) both vanish unless e_m e_k != 0 for
-    # some e_m in e_i e_j, or e_j e_k != 0; every other k passes, so the
-    # scan visits only these candidates, in increasing order
-    ok = True
-    witness = None
-    mul, add, zero = f.mul, f.add, f.zero
     pairs = A.mul.pair_index()
-    right_of = {}
-    for (m, k) in pairs:
-        right_of.setdefault(m, []).append(k)
-    for i in range(d):
-        for j in range(d):
-            ij = pairs.get((i, j), ())
-            ks = set(right_of.get(j, ()))
-            for m, _c in ij:
-                ks.update(right_of.get(m, ()))
-            for k in sorted(ks):
-                lhs = {}
-                for m, c in ij:
-                    for n, c2 in pairs.get((m, k), ()):
-                        lhs[n] = add(lhs.get(n, zero), mul(c, c2))
-                rhs = {}
-                for m, c in pairs.get((j, k), ()):
-                    for n, c2 in pairs.get((i, m), ()):
-                        rhs[n] = add(rhs.get(n, zero), mul(c2, c))
-                if not same_vector(f, lhs, rhs):
-                    ok = False
-                    witness = {"triple": (i, j, k)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("associativity", ok, witness)
+    right = A.mul.right_index()
+    L = [{(k, n): c for k, terms in right.get(j, ()) for n, c in terms} for j in range(d)]
+    failure = multiplicativity_failure(f, pairs, L, compose_row(f, L))
+    witness = None
+    if failure is not None:
+        i, j = failure
+        ij = pairs.get((i, j), [])
+        k = next(k for k in range(d) if not same_vector(
+            f, A.product_terms(ij, [(k, one)]), A.product_terms([(i, one)], pairs.get((j, k), []))))
+        witness = {"triple": (i, j, k)}
+    rep.add("associativity", failure is None, witness)
     return rep
 
 
@@ -197,8 +171,9 @@ def multiplicativity_failure(field, pairs, images, row):
     pairs is the source multiplication's pair index and images[k] = F(e_k)
     a sparse dict (a scalar-valued map keys its nonzero values by (), see
     scalar_images).  row(x) is the list [x images[j] for j] of products
-    in the target, formed in one pass (row_product, hopf.tt_row); the row
-    of F(e_i) is compared in increasing j, so every pair is checked."""
+    in the target, formed in one pass (row_product, hopf.tt_row,
+    compose_row, pairwise_row); the row of F(e_i) is compared in
+    increasing j, so every pair is checked."""
     mul, add, zero = field.mul, field.add, field.zero
     for i, x in enumerate(images):
         for j, product in enumerate(row(x)):
@@ -261,6 +236,31 @@ def row_product(A: AlgebraPresentation, images):
                         v = mul(ab, c)
                         cur = acc.get(k)
                         acc[k] = v if cur is None else add(cur, v)
+        return out
+
+    return row
+
+
+def compose_row(field, images):
+    """The row x -> [x o images[j] for j] of compositions of linear maps
+    held as sparse dicts (k, n) -> a, the map e_k -> sum a e_n.  The images
+    are inverted once by middle index (m -> [(j, k, b)]), so a term (m, n)
+    of x meets only the images that reach e_m; zero entries may remain
+    after cancellation."""
+    mul, add = field.mul, field.add
+    by_middle = {}
+    for j, image in enumerate(images):
+        for (k, m), b in image.items():
+            by_middle.setdefault(m, []).append((j, k, b))
+
+    def row(x):
+        out = [{} for _ in images]
+        for (m, n), a in x.items():
+            for j, k, b in by_middle.get(m, ()):
+                v = mul(b, a)
+                acc = out[j]
+                cur = acc.get((k, n))
+                acc[k, n] = v if cur is None else add(cur, v)
         return out
 
     return row

@@ -378,8 +378,11 @@ _RUNNERS = {
 def execute(job: JobSpec):
     """Run the job's tasks in order; dependent tasks are skipped after a
     verification failure.  Returns (report dict, exit code, timings), the
-    timings a list of (task name, seconds)."""
+    timings a list of (name, seconds): "object" for building and verifying
+    the object, then one entry per task run."""
+    t0 = time.perf_counter()
     ctx = resolve_object(job.field, job.object_spec)
+    timings = [("object", time.perf_counter() - t0)]
     report = {
         "schema_version": SCHEMA_VERSION,
         "field": job.field.to_json(),
@@ -392,7 +395,6 @@ def execute(job: JobSpec):
     }
     all_ok = True
     object_ok = True
-    timings = []
     for task in job.tasks:
         name = task["task"]
         if not object_ok and name != "verify":

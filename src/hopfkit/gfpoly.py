@@ -95,13 +95,6 @@ def derivative(p, f):
     return trim([(i * c) % p for i, c in enumerate(f)][1:])
 
 
-def evaluate(p, f, x):
-    acc = 0
-    for c in reversed(f):
-        acc = (acc * x + c) % p
-    return acc
-
-
 def _pth_root(p, f):
     # f is a polynomial in x^p; coefficients fixed by Frobenius on GF(p)
     return trim([f[i] for i in range(0, len(f), p)])

@@ -324,6 +324,28 @@ def first_unmultiplicative_pair(raw, images, product):
     return None
 
 
+def first_unassociative_triple(raw):
+    """First basis triple (i, j, k), in increasing order, with
+    (e_i e_j) e_k != e_i (e_j e_k), or None; both sides are summed term by
+    term from the raw constants for every triple."""
+    p = raw["p"]
+    d = raw["dim"]
+    mi = mul_index(raw)
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                lhs, rhs = {}, {}
+                for m, c in mi.get((i, j), []):
+                    for n, c2 in mi.get((m, k), []):
+                        _acc(p, lhs, n, s_mul(p, c, c2))
+                for m, c in mi.get((j, k), []):
+                    for n, c2 in mi.get((i, m), []):
+                        _acc(p, rhs, n, s_mul(p, c2, c))
+                if lhs != rhs:
+                    return i, j, k
+    return None
+
+
 def first_uncomultiplicative_index(src, M, tgt):
     """First basis index i with (M x M) Delta(e_i) != Delta(M e_i), or
     None, for the dense matrix M (a list of rows) from src to tgt; tensor

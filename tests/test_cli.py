@@ -217,6 +217,20 @@ def test_main_writes_byte_identical_reports(tmp_path, capsys):
     assert "task obstruct: definite  clause: no_qt" in summary
 
 
+def test_summary_times_the_object_build(tmp_path, capsys):
+    # the object is built and verified before the first task runs, so
+    # that time is its own first entry and summary line
+    doc = dict(TAFT_OBSTRUCT, tasks=["verify"])
+    _report, _code, timings = _run(doc)
+    assert [name for name, _ in timings] == ["object", "verify"]
+    assert timings[0][1] > 0
+    inp = tmp_path / "job.json"
+    inp.write_text(json.dumps(doc))
+    assert main(["verify", "--in", str(inp)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("time ")]
+    assert [line.split(":")[0] for line in lines] == ["time object", "time verify"]
+
+
 def test_main_field_override(tmp_path):
     doc = {"object": {"builder": "taft", "p": 3, "omega": "2"}, "tasks": ["obstruct"]}
     inp = tmp_path / "job.json"

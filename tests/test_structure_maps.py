@@ -7,8 +7,9 @@ verifier reports must be the oracle's: both algebra-map checks of
 verify_hopf, verify_morphism of the identity matrix onto the changed
 structure, and the rejection of a supplied character.  The same holds
 for the coproduct check of the 81-dimensional D(D(kZ3)), whose changed
-structures fail on rows past the first with several failing pairs, and
-for the intertwining check of a changed R-matrix on D(H4)."""
+structures fail on rows past the first with several failing pairs, for
+the associativity triple of its changed multiplications, and for the
+intertwining check of a changed R-matrix on D(H4)."""
 
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from hopfkit import (
     verify_rmatrix,
     verify_twist,
 )
-from hopfkit.algebra import AlgebraPresentation, multiplicativity_failure, scalar_images
+from hopfkit.algebra import AlgebraPresentation, multiplicativity_failure, scalar_images, verify_algebra
 from hopfkit.errors import UsageError
 from hopfkit.fields import PrimeField
 from hopfkit.linalg import Matrix
@@ -164,6 +165,40 @@ def test_coproduct_witnesses_at_dim_81_match_the_oracle():
         rows.append((i, js))
     # a first failing row past e_0 with more than one failing pair
     assert any(i is not None and i > 0 and len(js) >= 2 for i, js in rows)
+
+
+def test_associativity_witnesses_at_dim_81_match_the_oracle():
+    H = drinfeld_double(drinfeld_double(cyclic_group_algebra(GF7, 3)).hopf).hopf
+    assert H.dim == 81
+    keys = sorted(H.mul.entries)
+    pairs = H.mul.pair_index()
+
+    def first_empty(start):
+        return next((i, j) for i in range(start, H.dim) for j in range(H.dim) if (i, j) not in pairs)
+
+    # a changed coefficient, a deleted product and a filled empty pair, each
+    # once where the failing pair fails at several k (the witness is the
+    # first) and once where it lies past the first row
+    changes = [
+        (keys[0], GF7.add(H.mul.get(*keys[0]), GF7.one)),
+        (keys[len(keys) // 2], GF7.add(H.mul.get(*keys[len(keys) // 2]), GF7.one)),
+        (keys[1], GF7.zero),
+        (keys[-1], GF7.zero),
+        ((*first_empty(0), H.dim // 3), GF7.one),
+        ((*first_empty(H.dim // 2), H.dim // 3), GF7.one),
+    ]
+    triples = []
+    for key, value in changes:
+        mul = SparseTensor3(GF7, H.mul.dims, dict(H.mul.entries))
+        mul.set(*key, value)
+        broken = AlgebraPresentation(GF7, H.dim, mul, list(H.unit), list(H.names))
+        triple = oracle.first_unassociative_triple(oracle.export_hopf(HopfAlgebra(broken, H.comul, list(H.counit))))
+        assert triple is not None
+        assert _check(verify_algebra(broken), "associativity").witness == {"triple": triple}
+        triples.append(triple)
+    assert len(set(triples)) == len(triples) and any(i > 0 for i, _, _ in triples)
+    assert _check(verify_algebra(H.algebra), "associativity").ok
+    assert oracle.first_unassociative_triple(oracle.export_hopf(H)) is None
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,15 @@ the two tell the sides apart on any non-cocommutative double."""
 
 import pytest
 
-from hopfkit import apply_twist, drinfeld_double, taft, tensor_hopf, verify_hopf, verify_twist
+from hopfkit import (
+    TensorSquareElement,
+    apply_twist,
+    drinfeld_double,
+    taft,
+    tensor_hopf,
+    verify_hopf,
+    verify_twist,
+)
 from hopfkit.fields import CyclotomicField
 from hopfkit.hopf import op_cop
 from hopfkit.qt import double_base_projection, double_projection
@@ -74,3 +82,26 @@ def test_theorem_twist_on_the_factors_of_double_of_double_h4(double_h4):
     inv = verify_twist(T, tw.J_inv, inverse_candidates=[tw.J])
     assert not inv.verified
     assert [c.name for c in inv.report.checks if not c.ok] == ["2-cocycle identity"]
+
+
+def _round_trip(D, R, R_inv):
+    """D twisted by its R and back by the verified inverse twist."""
+    tw = verify_twist(D, R, inverse_candidates=[R_inv])
+    assert tw.verified, tw.report.first_failure()
+    HJ, _ = apply_twist(D, tw)
+    assert HJ.comul != D.comul
+    back = verify_twist(HJ, TensorSquareElement(HJ, tw.J_inv.coeffs),
+                        inverse_candidates=[TensorSquareElement(HJ, R.coeffs)])
+    assert back.verified, back.report.first_failure()
+    H2, _ = apply_twist(HJ, back)
+    return H2
+
+
+def test_r_twist_round_trip_restores_the_coproduct_double_h4(double_h4):
+    D = double_h4.hopf
+    assert _round_trip(D, double_h4.R, double_h4.R_inv).comul == D.comul
+
+
+def test_r_twist_round_trip_restores_the_coproduct_double_taft3(double_taft3_cyc3):
+    D = double_taft3_cyc3.hopf
+    assert _round_trip(D, double_taft3_cyc3.R, double_taft3_cyc3.R_inv).comul == D.comul
