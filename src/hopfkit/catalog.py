@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .algebra import AlgebraPresentation
 from .errors import BuilderError, UsageError
-from .fields import Field, parse_int, parse_scalar
+from .fields import Field, parse_int, parse_scalars
 from .hopf import HopfAlgebra, dual_hopf, tensor_hopf, verify_hopf
 from .linalg import Matrix
 from .tensors import SparseTensor3
@@ -312,7 +312,7 @@ def _build(field: Field, spec, parts=None) -> HopfAlgebra:
                 isinstance(row, list) and len(row) == inner.dim for row in rows):
             raise BuilderError(f"key 'coideal' of builder 'quotient' must be a list of "
                                f"vectors of length {inner.dim}, got {rows!r}")
-        vectors = [[parse_scalar(field, c, row) for c in row] for row in rows]
+        vectors = [parse_scalars(field, row, row) for row in rows]
         L = Subspace(field, inner.dim, vectors)
         return quotient_by_coideal(inner, L).quotient
     raise BuilderError(f"unhandled builder {kind!r}")

@@ -27,6 +27,16 @@ product of the Galois conjugates over the norm.  Only the result is
 divided by its denominator, coordinate by coordinate, so the values, and
 everything shown, hashed or stored from them, are the same as with
 ``Fraction`` arithmetic throughout.
+
+Scalars read from JSON are strings, and a document repeats a handful of
+them many times over (the 81-dimensional D(D(kZ3)) certificate over
+GF(p) holds 30,051 scalar strings and 3 distinct ones).  So a field
+parses each distinct scalar string once per instance: ``parse_scalar``
+and its row form ``parse_scalars`` keep every successful parse in a
+memo held by the field, keyed by the exact string.  A string that fails
+to parse is never stored and raises the same ``UsageError`` each time.
+Fields are built per document by ``field_from_json``, so the memo lives
+as long as the document and holds its distinct strings.
 """
 
 from __future__ import annotations
@@ -105,6 +115,10 @@ class Field:
     """Common interface for the exact ground fields."""
 
     kind = "abstract"
+
+    def __init__(self):
+        # scalar string -> value, filled by parse_scalar and parse_scalars
+        self._parsed = {}
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
@@ -185,6 +199,7 @@ class Rationals(Field):
     characteristic = 0
 
     def __init__(self):
+        super().__init__()
         self.zero = 0
         self.one = 1
 
@@ -236,6 +251,7 @@ class PrimeField(Field):
     def __init__(self, p: int):
         if not is_prime(p):
             raise UsageError(f"{p} is not prime")
+        super().__init__()
         self.p = p
         self.zero = 0
         self.one = 1 % p
@@ -338,6 +354,7 @@ class CyclotomicField(Field):
     def __init__(self, n: int):
         if n < 1:
             raise UsageError("cyclotomic index must be >= 1")
+        super().__init__()
         self.n = n
         self.modulus = cyclotomic_polynomial(n)
         self.degree = d = len(self.modulus) - 1
@@ -529,10 +546,32 @@ class CyclotomicField(Field):
 def parse_scalar(field: Field, value, entry):
     """field.parse(value) for a scalar read from JSON, where scalars are
     always strings; otherwise a UsageError naming the JSON entry that
-    holds the value."""
+    holds the value.
+
+    The field parses each distinct string once: the memo it holds is read
+    first, and only a successful parse is stored in it, so a bad string
+    raises the same UsageError every time it is read."""
+    parsed = field._parsed
+    try:
+        return parsed[value]
+    except (KeyError, TypeError):
+        pass
     if not isinstance(value, str):
         raise UsageError(f"scalar {value!r} in entry {entry!r} must be a string")
-    return field.parse(value)
+    out = parsed[value] = field.parse(value)
+    return out
+
+
+def parse_scalars(field: Field, values, entry):
+    """[parse_scalar(field, v, entry) for v in values]: a JSON list of
+    scalars read through the field's memo in one pass.  On a miss or a
+    non-string it falls back to the item-by-item path, which parses each
+    new string once and gives the same diagnostics."""
+    parsed = field._parsed
+    try:
+        return [parsed[v] for v in values]
+    except (KeyError, TypeError):
+        return [parse_scalar(field, v, entry) for v in values]
 
 
 def parse_int(value, entry):

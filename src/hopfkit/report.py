@@ -3,7 +3,10 @@ plus the canonical structure-constant hash embedded in every report.
 
 All scalars serialize as strings through the field's parser/printer, so
 serialization is exact and byte-stable: identical inputs always produce
-identical documents.
+identical documents.  Decoding reads matrices and vectors a row at a
+time through ``parse_scalars`` and every other scalar through
+``parse_scalar``, so the field parses each distinct scalar string of a
+document once.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 from .algebra import AlgebraPresentation
 from .checks import Report
 from .errors import UsageError
-from .fields import Field, field_from_json, parse_int, parse_scalar
+from .fields import Field, field_from_json, parse_int, parse_scalar, parse_scalars
 from .hopf import HopfAlgebra, HopfMorphism, QuotientData, tensor_hopf
 from .linalg import Matrix, Subspace
 from .qt import QTStructure, TensorSquareElement, Twist
@@ -34,8 +37,7 @@ def matrix_to_json(M: Matrix):
 def matrix_from_json(field: Field, rows) -> Matrix:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise UsageError(f"matrix {rows!r} must be a list of rows")
-    return Matrix(field, [[parse_scalar(field, v, row) for v in row]
-                          for row in rows])
+    return Matrix(field, [parse_scalars(field, row, row) for row in rows])
 
 
 def tensor3_to_json(T: SparseTensor3):
@@ -63,7 +65,7 @@ def vector_to_json(field: Field, v):
 def vector_from_json(field: Field, items):
     if not isinstance(items, list):
         raise UsageError(f"vector {items!r} must be a list of scalars")
-    return [parse_scalar(field, x, items) for x in items]
+    return parse_scalars(field, items, items)
 
 
 def hopf_to_json(H: HopfAlgebra) -> dict:
@@ -204,7 +206,14 @@ def _quotient_from_json(field: Field, H: HopfAlgebra, data: dict) -> QuotientDat
     _fields(data, {"projection", "section", "ideal", "quotient"}, "certificate quotient")
     quotient = hopf_from_json(field, data["quotient"])
     projection = HopfMorphism(H, quotient, matrix_from_json(field, data["projection"]))
+    # the section is a map K -> H and the ideal ker(pi) has dim H - dim K;
+    # check-cert does not use either, so their shapes are checked here
     section = matrix_from_json(field, data["section"])
-    ideal_rows = data["ideal"]
-    ideal = Subspace(field, H.dim, [[field.parse(v) for v in row] for row in ideal_rows])
-    return QuotientData(projection, section, ideal, quotient)
+    if section.shape != (H.dim, quotient.dim):
+        raise UsageError(f"certificate section must be {H.dim}x{quotient.dim}, "
+                         f"got {section.nrows}x{section.ncols}")
+    ideal = matrix_from_json(field, data["ideal"])
+    if ideal.nrows != H.dim - quotient.dim or ideal.rows and ideal.ncols != H.dim:
+        raise UsageError(f"certificate ideal must be {H.dim - quotient.dim} rows of length "
+                         f"{H.dim}, got {ideal.nrows} of length {ideal.ncols}")
+    return QuotientData(projection, section, Subspace(field, H.dim, ideal.rows), quotient)
