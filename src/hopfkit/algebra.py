@@ -143,11 +143,8 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
     f = A.field
     d = A.dim
     one = f.one
-    unit = nonzero_terms(f, A.unit)
-    witness = next(({"side": side, "basis": A.names[i]} for i in range(d)
-                    for side, us, vs in (("left", unit, [(i, one)]), ("right", [(i, one)], unit))
-                    if not same_vector(f, A.product_terms(us, vs), {i: one})), None)
-    rep.add("unit law", witness is None, witness)
+    bad = unit_law_failure(A)
+    rep.add("unit law", bad is None, None if bad is None else {"side": bad[0], "basis": A.names[bad[1]]})
 
     pairs = A.mul.pair_index()
     right = A.mul.right_index()
@@ -162,6 +159,17 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
         witness = {"triple": (i, j, k)}
     rep.add("associativity", failure is None, witness)
     return rep
+
+
+def unit_law_failure(A: AlgebraPresentation):
+    """First (side, i), with i increasing and "left" before "right", such
+    that 1 e_i or e_i 1 is not e_i, or None; 2 dim sparse products."""
+    f = A.field
+    one = f.one
+    unit = nonzero_terms(f, A.unit)
+    return next(((side, i) for i in range(A.dim)
+                 for side, us, vs in (("left", unit, [(i, one)]), ("right", [(i, one)], unit))
+                 if not same_vector(f, A.product_terms(us, vs), {i: one})), None)
 
 
 def multiplicativity_failure(field, pairs, images, row):

@@ -42,6 +42,7 @@ from .qt import TensorSquareElement, canonical_double_r, verify_rmatrix
 from .report import (
     certificate_from_json,
     certificate_to_json,
+    dumps_indented,
     dumps_stable,
     hopf_from_json,
     matrix_from_json,
@@ -548,7 +549,7 @@ def main(argv=None) -> int:
         return 3
     _print_summary(report, timings)
     if args.outfile:
-        payload = json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+        payload = dumps_indented(report) + "\n"
         with open(args.outfile, "w", encoding="utf-8") as fh:
             fh.write(payload)
     return code

@@ -48,18 +48,38 @@ from fractions import Fraction
 from .errors import UsageError
 
 
+# Miller-Rabin with the prime bases 2..41 decides primality exactly below
+# this bound (Sorenson & Webster, "Strong pseudoprimes to twelve prime
+# bases", 2015)
+MILLER_RABIN_BOUND = 3317044064679887385961981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Exact primality for n < MILLER_RABIN_BOUND by deterministic
+    Miller-Rabin; a UsageError above it, never a probable verdict."""
+    if n >= MILLER_RABIN_BOUND:
+        raise UsageError(f"cannot decide exactly whether {n} is prime: "
+                         f"p must be below {MILLER_RABIN_BOUND}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

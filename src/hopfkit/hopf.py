@@ -32,7 +32,17 @@ adds into every product at once and never looks at a pair whose product
 vanishes.  The bialgebra check of verify_hopf reads Delta(e_i) Delta(e_j)
 for all j off one row per i, verify_morphism reads its one-leg form
 ``algebra.row_product`` over the target, and tt_mul is the row of a
-single right factor; t3_mul walks the same right-neighbour lists.
+single right factor.
+
+The tensor-cube identities of an R-matrix and of a twist are read off
+the same rows, with no unit placed on a leg: ``r_leg_products`` forms
+R13 R23 and R13 R12 from one ``row_product`` over the slices of R by a
+leg, and ``cocycle_sides`` each side of the 2-cocycle identity from one
+tt_row over the slices of (Delta x id)(J) or (id x Delta)(J) by the leg
+that meets 1.  Both rest on 1 x = x = x 1 and decide it once per call
+(``algebra.unit_law_failure``); where it fails they multiply the legs
+out literally, the unit on a leg by ``t3_embed`` and the product by
+``t3_mul``, which walks the same right-neighbour lists.
 """
 
 from __future__ import annotations
@@ -52,6 +62,7 @@ from .algebra import (
     same_vector,
     scalar_images,
     subalgebra_closure,
+    unit_law_failure,
     verify_algebra,
 )
 from .checks import Report
@@ -211,6 +222,75 @@ def t3_embed(field, A: dict, spots, unit_vec) -> dict:
             key[other] = u
             _put(field, out, tuple(key), field.mul(v, a))
     return out
+
+
+def r_leg_products(H, R: dict):
+    """(R13 R23, R13 R12) in H (x) H (x) H for R = sum r_pq e_p (x) e_q,
+    zeros dropped.
+
+    Where the unit law holds no unit is placed on a leg.  With the slices
+    x_p = {q: r_pq} of R by first leg and z_q = {p: r_pq} by second,
+    R13 R23 = sum e_p (x) e_s (x) x_p x_s and
+    R13 R12 = sum z_q z_t (x) e_t (x) e_q, each family of slice products
+    read off one algebra.row_product.  Otherwise both are the literal
+    t3_mul of t3_embed legs."""
+    f = H.field
+    if unit_law_failure(H.algebra) is not None:
+        r13 = t3_embed(f, R, (0, 2), H.unit)
+        return (t3_mul(H, r13, t3_embed(f, R, (1, 2), H.unit)),
+                t3_mul(H, r13, t3_embed(f, R, (0, 1), H.unit)))
+    is_zero = f.is_zero
+    by_first, by_second = {}, {}
+    for (p, q), v in R.items():
+        by_first.setdefault(p, {})[q] = v
+        by_second.setdefault(q, {})[p] = v
+    r13_r23, r13_r12 = {}, {}
+    times = row_product(H.algebra, list(by_first.values()))
+    for p, x in by_first.items():
+        for s, prod in zip(by_first, times(x)):
+            for k, v in prod.items():
+                if not is_zero(v):
+                    r13_r23[p, s, k] = v
+    times = row_product(H.algebra, list(by_second.values()))
+    for q, z in by_second.items():
+        for t, prod in zip(by_second, times(z)):
+            for k, v in prod.items():
+                if not is_zero(v):
+                    r13_r12[k, t, q] = v
+    return r13_r23, r13_r12
+
+
+def cocycle_sides(H, J: dict):
+    """((J x 1)(Delta x id)(J), (1 x J)(id x Delta)(J)) in H (x) H (x) H,
+    zeros dropped.
+
+    Where the unit law holds no unit is placed on a leg: the leg that
+    meets 1 passes through, so the left side is sum (J X_c) (x) e_c over
+    the slices X_c of (Delta x id)(J) by third leg, and the right side
+    sum e_a (x) (J Y_a) over the slices Y_a of (id x Delta)(J) by first
+    leg, each side one tt_row at J.  Otherwise both are the literal
+    t3_mul of a t3_embed leg."""
+    f = H.field
+    delta_first, delta_second = comul_leg(H, J, 0), comul_leg(H, J, 1)
+    if unit_law_failure(H.algebra) is not None:
+        return (t3_mul(H, t3_embed(f, J, (0, 1), H.unit), delta_first),
+                t3_mul(H, t3_embed(f, J, (1, 2), H.unit), delta_second))
+    is_zero = f.is_zero
+    by_third, by_first = {}, {}
+    for (a, b, c), v in delta_first.items():
+        by_third.setdefault(c, {})[a, b] = v
+    for (a, b, c), v in delta_second.items():
+        by_first.setdefault(a, {})[b, c] = v
+    lhs, rhs = {}, {}
+    for c, prod in zip(by_third, tt_row(H, list(by_third.values()))(J)):
+        for (m, n), v in prod.items():
+            if not is_zero(v):
+                lhs[m, n, c] = v
+    for a, prod in zip(by_first, tt_row(H, list(by_first.values()))(J)):
+        for (m, n), v in prod.items():
+            if not is_zero(v):
+                rhs[a, m, n] = v
+    return lhs, rhs
 
 
 def comul_image(comul: SparseTensor3, vec) -> dict:

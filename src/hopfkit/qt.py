@@ -15,7 +15,10 @@ candidates (e.g. (S (x) id)(R)) confirmed by multiplication, then falls
 back to the regular-representation linear solve, built as sparse rows.
 verify_rmatrix forms R Delta(e_i) for every i as one hopf.tt_row, and
 apply_twist J Delta(e_i) likewise; the fixed right factor on the other
-side (R, J^-1) is one single-image row, built once for every i.
+side (R, J^-1) is one single-image row, built once for every i.  The
+tensor-cube sides of the coproduct axioms and of the 2-cocycle identity
+come from hopf.r_leg_products and hopf.cocycle_sides, which place no
+unit on a leg when the unit law holds.
 
 Transmutation holds the adjoint action h_(1) v S(h_(2)) once, as sparse
 columns.  transmute and check_braided_projection share braided_product,
@@ -48,6 +51,7 @@ from .hopf import (
     _put,
     antipode_failure,
     coassociativity_failure,
+    cocycle_sides,
     coinvariant_space,
     comul_dict,
     comultiplicativity_failure,
@@ -56,10 +60,9 @@ from .hopf import (
     counit_failure,
     dual_hopf,
     is_normal_left_coideal_subalgebra,
+    r_leg_products,
     solve_antipode,
     sparse_columns,
-    t3_embed,
-    t3_mul,
     tt_apply,
     tt_flip,
     tt_mul,
@@ -244,7 +247,14 @@ def require_verified(Q: QTStructure):
 
 def verify_rmatrix(H: HopfAlgebra, R: TensorSquareElement) -> QTStructure:
     """Invertibility, both coproduct axioms, and the coproduct-flip
-    intertwining on every basis element; flags are computed, not claimed."""
+    intertwining on every basis element; flags are computed, not claimed.
+
+    For R = sum r_pq e_p (x) e_q the right sides of the coproduct axioms
+    are taken in closed form, R13 R23 = sum r_pq r_st e_p (x) e_s (x) e_q e_t
+    and R13 R12 = sum r_pq r_st e_p e_s (x) e_t (x) e_q, which holds when
+    1 x = x = x 1; the unit law is decided once per call, and where it
+    fails the unit is placed on a leg and multiplied out
+    (hopf.r_leg_products).  Either way the comparison is exact."""
     f = H.field
     rep = Report()
     rinv = R.inverse(candidates=antipode_leg_candidates(H, R))
@@ -252,15 +262,9 @@ def verify_rmatrix(H: HopfAlgebra, R: TensorSquareElement) -> QTStructure:
     if rinv is None:
         return QTStructure(H, R, rep, False)
 
-    unit = H.unit
-    lhs = comul_leg(H, R.coeffs, 0)
-    r13 = t3_embed(f, R.coeffs, (0, 2), unit)
-    r23 = t3_embed(f, R.coeffs, (1, 2), unit)
-    rep.add("(Delta x id)(R) = R13 R23", lhs == t3_mul(H, r13, r23))
-
-    lhs = comul_leg(H, R.coeffs, 1)
-    r12 = t3_embed(f, R.coeffs, (0, 1), unit)
-    rep.add("(id x Delta)(R) = R13 R12", lhs == t3_mul(H, r13, r12))
+    r13_r23, r13_r12 = r_leg_products(H, R.coeffs)
+    rep.add("(Delta x id)(R) = R13 R23", comul_leg(H, R.coeffs, 0) == r13_r23)
+    rep.add("(id x Delta)(R) = R13 R12", comul_leg(H, R.coeffs, 1) == r13_r12)
 
     # R Delta(e_i) for every i in one row; Delta^op(e_i) R through one
     # row of the fixed right factor R
@@ -397,7 +401,14 @@ def verify_twist(H: HopfAlgebra, J: TensorSquareElement, inverse_candidates=()) 
 
     This is the identity for the twisted coproduct J Delta J^-1 that
     apply_twist forms; an R-matrix R passes it, with Delta^R = Delta^cop,
-    and R^-1 in general does not."""
+    and R^-1 in general does not.
+
+    When 1 x = x = x 1, decided once per call, the leg that meets 1
+    passes through: the left side is sum (J X_c) (x) e_c over the slices
+    X_c of (Delta x id)(J) by third leg, and the right side
+    sum e_a (x) (J Y_a) over the slices Y_a of (id x Delta)(J) by first
+    leg; where the unit law fails both are multiplied out with the unit
+    on a leg (hopf.cocycle_sides)."""
     f = H.field
     rep = Report()
     jinv = J.inverse(candidates=inverse_candidates)
@@ -411,8 +422,7 @@ def verify_twist(H: HopfAlgebra, J: TensorSquareElement, inverse_candidates=()) 
         right[i] = f.add(right[i], f.mul(H.counit[j], v))
     rep.add("(eps x id)(J) = 1", left == H.unit)
     rep.add("(id x eps)(J) = 1", right == H.unit)
-    lhs = t3_mul(H, t3_embed(f, J.coeffs, (0, 1), H.unit), comul_leg(H, J.coeffs, 0))
-    rhs = t3_mul(H, t3_embed(f, J.coeffs, (1, 2), H.unit), comul_leg(H, J.coeffs, 1))
+    lhs, rhs = cocycle_sides(H, J.coeffs)
     rep.add("2-cocycle identity", lhs == rhs)
     return Twist(H, J, jinv, rep, rep.ok)
 

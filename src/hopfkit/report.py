@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 
 from .algebra import AlgebraPresentation
 from .checks import Report
@@ -27,6 +28,39 @@ from .tensors import SparseTensor3
 
 def dumps_stable(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def dumps_indented(obj) -> str:
+    """The bytes of json.dumps(obj, sort_keys=True, indent=2,
+    ensure_ascii=True), without the pure-Python encoder that indent
+    selects.  Dicts (keys sorted), lists and tuples are walked here, each
+    one joined at once; strings and ints are written as that encoder
+    writes them, and any other leaf by json.dumps of the leaf."""
+    encode = encode_basestring_ascii
+    int_repr = int.__repr__
+
+    def walk(o, pad):
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = pad + "  "
+            items = [encode(x) if type(x) is str else int_repr(x) if type(x) is int else walk(x, inner)
+                     for x in o]
+            return "[" + inner + ("," + inner).join(items) + pad + "]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner = pad + "  "
+            items = [encode(k if isinstance(k, str) else json.dumps(k)) + ": " + walk(v, inner)
+                     for k, v in sorted(o.items())]
+            return "{" + inner + ("," + inner).join(items) + pad + "}"
+        if isinstance(o, str):
+            return encode(o)
+        if isinstance(o, int) and not isinstance(o, bool):
+            return int_repr(o)
+        return json.dumps(o)
+
+    return walk(obj, "\n")
 
 
 def matrix_to_json(M: Matrix):

@@ -512,18 +512,24 @@ def braided_product(left, right, R, ad_left, ad_right, A, B):
     return out
 
 
-def twist_identity_holds(raw, J):
-    """(J x 1)(Delta x id)(J) == (1 x J)(id x Delta)(J) for a sparse
-    J = {(i, j): value}, the identity of the twist J Delta J^-1."""
+def comul_legs(raw, X):
+    """(Delta x id)(X) and (id x Delta)(X) for a sparse X = {(i, j): value}."""
     p = raw["p"]
     ci = comul_index(raw)
     first = {}
     second = {}
-    for (i, j), v in J.items():
+    for (i, j), v in X.items():
         for (a, b, c) in ci.get(i, []):
             _acc(p, first, (a, b, j), s_mul(p, v, c))
         for (a, b, c) in ci.get(j, []):
             _acc(p, second, (i, a, b), s_mul(p, v, c))
+    return first, second
+
+
+def twist_identity_holds(raw, J):
+    """(J x 1)(Delta x id)(J) == (1 x J)(id x Delta)(J) for a sparse
+    J = {(i, j): value}, the identity of the twist J Delta J^-1."""
+    first, second = comul_legs(raw, J)
     lhs = t3_mul(raw, t3_embed(raw, J, (0, 1)), first)
     rhs = t3_mul(raw, t3_embed(raw, J, (1, 2)), second)
     return lhs == rhs
@@ -593,24 +599,19 @@ def rmatrix_linear_space(raw):
 
 def quadratic_axioms_hold(raw, coeffs, mi=None):
     """The two coproduct axioms, checked exactly on a candidate."""
-    p = raw["p"]
+    return all(quadratic_axiom_verdicts(raw, coeffs, mi))
+
+
+def quadratic_axiom_verdicts(raw, coeffs, mi=None):
+    """(Delta x id)(R) == R13 R23, then (id x Delta)(R) == R13 R12, each
+    evaluated only when it is read."""
     mi = mi or mul_index(raw)
-    ci = comul_index(raw)
-    lhs1 = {}
-    lhs2 = {}
-    for (i, j), v in coeffs.items():
-        for (a, b, c) in ci.get(i, []):
-            _acc(p, lhs1, (a, b, j), s_mul(p, v, c))
-        for (a, b, c) in ci.get(j, []):
-            _acc(p, lhs2, (i, a, b), s_mul(p, v, c))
+    lhs1, lhs2 = comul_legs(raw, coeffs)
     r13 = t3_embed(raw, coeffs, (0, 2))
     r23 = t3_embed(raw, coeffs, (1, 2))
     r12 = t3_embed(raw, coeffs, (0, 1))
-    if lhs1 != t3_mul(raw, r13, r23, mi):
-        return False
-    if lhs2 != t3_mul(raw, r13, r12, mi):
-        return False
-    return True
+    yield lhs1 == t3_mul(raw, r13, r23, mi)
+    yield lhs2 == t3_mul(raw, r13, r12, mi)
 
 
 def is_invertible_tt(raw, coeffs):

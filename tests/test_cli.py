@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -243,6 +244,19 @@ def test_main_exit_code_input_error(tmp_path, capsys):
     inp.write_text("{")
     assert main(["verify", "--in", str(inp)]) == 2
     assert main(["verify", "--in", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), ((2 ** 31 - 1) * (2 ** 61 - 1), 2)])
+def test_large_prime_fields_are_decided_at_once(tmp_path, capsys, p, code):
+    """A Mersenne prime p is a field; past the exact Miller-Rabin bound p
+    is an input error, not a probable verdict."""
+    inp = tmp_path / "job.json"
+    inp.write_text(json.dumps({"field": {"kind": "gfp", "p": p}, "object": "Z2"}))
+    start = time.perf_counter()
+    assert main(["verify", "--in", str(inp)]) == code
+    assert time.perf_counter() - start < 1.0
+    if code == 2:
+        assert "cannot decide exactly" in capsys.readouterr().err
 
 
 def test_main_exit_code_check_failure(tmp_path):

@@ -11,11 +11,13 @@ from hypothesis import strategies as st
 from hopfkit.cli import execute, parse_jobspec
 from hopfkit.errors import UsageError
 from hopfkit.fields import (
+    MILLER_RABIN_BOUND,
     CyclotomicField,
     PrimeField,
     Rationals,
     cyclotomic_polynomial,
     field_from_json,
+    is_prime,
 )
 from hopfkit.report import dumps_stable
 
@@ -336,3 +338,45 @@ def test_taft_cyclotomic_report_golden(task, n):
     assert code == 0
     digest = hashlib.sha256(dumps_stable(report).encode("utf-8")).hexdigest()
     assert digest == REPORT_DIGESTS[(task, n)]
+
+
+# ----------------------------------------------------------------------
+# primality of p: deterministic Miller-Rabin below its proven bound
+# ----------------------------------------------------------------------
+
+def test_is_prime_matches_a_sieve_below_200000():
+    n = 200_000
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for d in range(2, math.isqrt(n) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(range(d * d, n, d)))
+    assert [m for m in range(n) if is_prime(m)] == [m for m in range(n) if sieve[m]]
+
+
+@pytest.mark.parametrize("n", [
+    # the least strong pseudoprimes to the first 4, 5, 6, 8 and 11 prime bases
+    3215031751, 2152302898747, 3474749660383, 341550071728321, 3825123056546413051,
+    # Carmichael numbers
+    561, 41041,
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=MILLER_RABIN_BOUND - 1))
+def test_is_prime_matches_sympy(n):
+    sympy = pytest.importorskip("sympy")
+    assert is_prime(n) == sympy.isprime(n)
+    p = sympy.nextprime(n)
+    if p < MILLER_RABIN_BOUND:
+        assert is_prime(p)
+
+
+def test_primes_past_the_bound_are_an_input_error():
+    assert is_prime(2 ** 61 - 1) and not is_prime(MILLER_RABIN_BOUND - 2)
+    # the bound is the least composite that passes all thirteen bases
+    for n in (MILLER_RABIN_BOUND, (2 ** 31 - 1) * (2 ** 61 - 1), 10 ** 30 + 57):
+        with pytest.raises(UsageError, match="cannot decide exactly"):
+            PrimeField(n)

@@ -3,6 +3,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hopfkit.qt as qt
 import hopfkit.report as report
@@ -214,3 +216,29 @@ def test_a_bad_scalar_raises_the_same_error_each_time(monkeypatch, kind):
         with pytest.raises(UsageError, match="must be a string"):
             parse_scalars(field, ["1", value], "e")
     assert parse_scalars(field, ["1", "1"], "e") == [field.one, field.one]
+
+
+# ----------------------------------------------------------------------
+# the report writer: the bytes of json.dumps(sort_keys, indent=2,
+# ensure_ascii) for every value a report can hold
+# ----------------------------------------------------------------------
+
+_LEAVES = (st.text() | st.text(st.characters(max_codepoint=0x7f)) | st.integers()
+           | st.integers(min_value=-10 ** 300, max_value=10 ** 300) | st.booleans() | st.none()
+           | st.floats())
+_VALUES = st.recursive(
+    _LEAVES,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_VALUES)
+def test_dumps_indented_matches_json_dumps(value):
+    assert report.dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)
+
+
+def test_dumps_indented_on_empty_containers_and_tuples():
+    value = {"b": [], "a": {}, "c": ({"pair": ("eé", -3)}, [[], {}, ()]), "": None}
+    assert report.dumps_indented(value) == json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)

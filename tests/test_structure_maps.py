@@ -9,7 +9,14 @@ structure, and the rejection of a supplied character.  The same holds
 for the coproduct check of the 81-dimensional D(D(kZ3)), whose changed
 structures fail on rows past the first with several failing pairs, for
 the associativity triple of its changed multiplications, and for the
-intertwining check of a changed R-matrix on D(H4)."""
+intertwining check of a changed R-matrix on D(H4).
+
+The tensor-cube products of verify_rmatrix and verify_twist, formed
+without a unit on a leg, equal the unit-on-a-leg products of t3_embed
+and t3_mul and the oracle's, on doubles whose unit has up to 9 terms;
+the coproduct axioms and the 2-cocycle identity of changed R-matrices
+give the oracle's verdicts; and where the unit law fails, the literal
+products and their reports are kept."""
 
 from fractions import Fraction
 
@@ -30,10 +37,19 @@ from hopfkit import (
     verify_rmatrix,
     verify_twist,
 )
-from hopfkit.algebra import AlgebraPresentation, multiplicativity_failure, scalar_images, verify_algebra
+from hopfkit.algebra import (
+    AlgebraPresentation,
+    multiplicativity_failure,
+    nonzero_terms,
+    scalar_images,
+    unit_law_failure,
+    verify_algebra,
+)
 from hopfkit.errors import UsageError
-from hopfkit.fields import PrimeField
+from hopfkit.fields import CyclotomicField, PrimeField, Rationals
+from hopfkit.hopf import cocycle_sides, comul_leg, r_leg_products, t3_embed, t3_mul
 from hopfkit.linalg import Matrix
+from hopfkit.qt import tensor_qt
 from hopfkit.tensors import SparseTensor3
 
 GF7 = PrimeField(7)
@@ -221,3 +237,149 @@ def test_intertwining_witnesses_of_changed_r_match_the_oracle(double_h4_gf7):
         seen.add(bad)
     assert len(seen - {None, 0}) >= 1
 
+
+
+# ----------------------------------------------------------------------
+# the tensor-cube identities without the unit on a leg
+# ----------------------------------------------------------------------
+
+def _dkz3_gf7():
+    return drinfeld_double(cyclic_group_algebra(GF7, 3))
+
+
+# name -> (builder, nnz of the unit, the products also checked against
+# the oracle: all four at small dims, one at dim 81, where the oracle
+# takes 0.4 s a product; none over Q(z_3), which the oracle lacks)
+UNIT_FREE_HOSTS = {
+    "D(kZ3)/GF7": (_dkz3_gf7, 3, (0, 1, 2, 3)),
+    "D(D(kZ3))/GF7": (lambda: drinfeld_double(_dkz3_gf7().hopf), 9, (0,)),
+    "D(kZ3)xD(kZ3)/GF7": (lambda: tensor_qt(_dkz3_gf7(), _dkz3_gf7()), 9, (3,)),
+    "D(H4)/Q": (lambda: drinfeld_double(sweedler(Rationals())), 2, (0, 1, 2, 3)),
+    "D(Taft3)/Q(z3)": (lambda: drinfeld_double(taft(CyclotomicField(3), 3, "z")), 3, ()),
+}
+
+
+def _literal_products(H, X):
+    """R13 R23, R13 R12 and the two sides of the 2-cocycle identity at X,
+    each with the unit placed on a leg and multiplied out."""
+    f = H.field
+    r13 = t3_embed(f, X, (0, 2), H.unit)
+    return (t3_mul(H, r13, t3_embed(f, X, (1, 2), H.unit)),
+            t3_mul(H, r13, t3_embed(f, X, (0, 1), H.unit)),
+            t3_mul(H, t3_embed(f, X, (0, 1), H.unit), comul_leg(H, X, 0)),
+            t3_mul(H, t3_embed(f, X, (1, 2), H.unit), comul_leg(H, X, 1)))
+
+
+def _oracle_product(raw, X, which):
+    """The oracle's product number ``which`` of _literal_products."""
+    embed = oracle.t3_embed
+    if which < 2:
+        return oracle.t3_mul(raw, embed(raw, X, (0, 2)), embed(raw, X, ((1, 2), (0, 1))[which]))
+    legs = oracle.comul_legs(raw, X)
+    return oracle.t3_mul(raw, embed(raw, X, ((0, 1), (1, 2))[which - 2]), legs[which - 2])
+
+
+def _exact(raw, X):
+    conv = int if raw["p"] else Fraction
+    return {k: conv(v) for k, v in X.items()}
+
+
+@pytest.mark.parametrize("name", sorted(UNIT_FREE_HOSTS))
+def test_unit_free_products_equal_the_literal_ones(name):
+    build, unit_nnz, oracle_checked = UNIT_FREE_HOSTS[name]
+    Q = build()
+    H = Q.hopf
+    assert Q.verified and unit_law_failure(H.algebra) is None
+    assert len(nonzero_terms(H.field, H.unit)) == unit_nnz
+    raw = oracle.export_hopf(H) if oracle_checked else None
+    # an R-matrix passes the 2-cocycle identity, and its inverse may not
+    for X, twist in ((Q.R.coeffs, True), (Q.R_inv.coeffs, None)):
+        products = r_leg_products(H, X) + cocycle_sides(H, X)
+        assert products == _literal_products(H, X)
+        assert twist is None or (products[2] == products[3]) is twist
+        for which in oracle_checked if twist else ():
+            assert products[which] == _oracle_product(raw, _exact(raw, X), which)
+
+
+def test_unit_free_products_on_the_r_matrix_families(kz2_rfamily, h4_rfamily):
+    """Every R-matrix the oracle finds on kZ2 and on sweedler over Q;
+    their tensor-cube products cancel to zero at some entries."""
+    for R in kz2_rfamily + h4_rfamily:
+        H = R.host
+        raw = oracle.export_hopf(H)
+        products = r_leg_products(H, R.coeffs) + cocycle_sides(H, R.coeffs)
+        assert products == _literal_products(H, R.coeffs)
+        assert products == tuple(_oracle_product(raw, _exact(raw, R.coeffs), w) for w in range(4))
+        assert products[2] == products[3]
+
+
+def _changed(D, R):
+    """R itself and R with one coefficient raised by 1: at the first,
+    middle and last of its terms, and at the last basis pair."""
+    f = D.field
+    keys = sorted(R)
+    out = [dict(R)]
+    for key in (keys[0], keys[len(keys) // 2], keys[-1], (D.dim - 1, D.dim - 1)):
+        coeffs = dict(R)
+        coeffs[key] = f.add(coeffs.get(key, f.zero), f.one)
+        out.append(coeffs)
+    return out
+
+
+@pytest.mark.parametrize("name", ["D(kZ3)/GF7", "D(H4)/GF7"])
+def test_axiom_verdicts_of_changed_r_and_j_match_the_oracle(name, double_h4_gf7):
+    Q = _dkz3_gf7() if name == "D(kZ3)/GF7" else double_h4_gf7
+    D = Q.hopf
+    raw = oracle.export_hopf(D)
+    seen = set()
+    # an R-matrix is a twist, so R and its changes serve as R and as J
+    for coeffs in _changed(D, Q.R.coeffs):
+        X = TensorSquareElement(D, coeffs)
+        exact = _exact(raw, X.coeffs)
+        axioms = tuple(oracle.quadratic_axiom_verdicts(raw, exact))
+        cocycle = oracle.twist_identity_holds(raw, exact)
+        r13_r23, r13_r12 = r_leg_products(D, X.coeffs)
+        lhs, rhs = cocycle_sides(D, X.coeffs)
+        assert (comul_leg(D, X.coeffs, 0) == r13_r23, comul_leg(D, X.coeffs, 1) == r13_r12) == axioms
+        assert (lhs == rhs) is cocycle
+        rep = verify_rmatrix(D, X).report
+        if _check(rep, "R is invertible").ok:
+            assert _check(rep, "(Delta x id)(R) = R13 R23").ok is axioms[0]
+            assert _check(rep, "(id x Delta)(R) = R13 R12").ok is axioms[1]
+        rep = verify_twist(D, X).report
+        if _check(rep, "J is invertible").ok:
+            assert _check(rep, "2-cocycle identity").ok is cocycle
+        seen.add(axioms + (cocycle,))
+    assert (True, True, True) in seen and len(seen) > 1
+
+
+# the checks of verify_rmatrix and verify_twist on the changed kZ3 below,
+# pinned from the unit-on-a-leg products
+NON_UNITAL_REPORTS = {
+    (0, 0): (
+        [("R is invertible", True, None), ("(Delta x id)(R) = R13 R23", True, None),
+         ("(id x Delta)(R) = R13 R12", True, None),
+         ("R Delta(h) = flipped-Delta(h) R", False, {"basis": "g"})],
+        [("J is invertible", True, None), ("(eps x id)(J) = 1", True, None),
+         ("(id x eps)(J) = 1", True, None), ("2-cocycle identity", True, None)]),
+    # here the unit-free forms would fail the first coproduct axiom
+    (1, 0): (
+        [("R is invertible", True, None), ("(Delta x id)(R) = R13 R23", True, None),
+         ("(id x Delta)(R) = R13 R12", False, None),
+         ("R Delta(h) = flipped-Delta(h) R", False, {"basis": "1"})],
+        [("J is invertible", True, None), ("(eps x id)(J) = 1", False, None),
+         ("(id x eps)(J) = 1", False, None), ("2-cocycle identity", False, None)]),
+}
+
+
+def test_non_unital_host_keeps_the_literal_products():
+    H = cyclic_group_algebra(GF7, 3)
+    # e_0 is the unit of kZ3, and here 1 e_1 = 2 e_1
+    M = HopfAlgebra(AlgebraPresentation(GF7, 3, _bumped(H.mul, (0, 1, 1)), list(H.unit), list(H.names)),
+                    H.comul, list(H.counit), H.antipode, list(H.names))
+    assert unit_law_failure(M.algebra) == ("left", 1)
+    for key, (r_checks, j_checks) in NON_UNITAL_REPORTS.items():
+        X = TensorSquareElement(M, {key: 4 if key == (1, 0) else 1})
+        assert r_leg_products(M, X.coeffs) + cocycle_sides(M, X.coeffs) == _literal_products(M, X.coeffs)
+        for rep, checks in ((verify_rmatrix(M, X).report, r_checks), (verify_twist(M, X).report, j_checks)):
+            assert [(c.name, c.ok, c.witness) for c in rep.checks] == checks
