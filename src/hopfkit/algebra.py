@@ -4,10 +4,11 @@ An algebra is a multiplication tensor mu (e_i e_j = sum_k mu[i,j,k] e_k)
 plus the coordinate vector of the unit.  Everything downstream (axiom
 checks, centers, characters) is exact linear algebra over the chosen
 field.  Products contract through the sparse pair index
-(``AlgebraPresentation.product_terms``).  Every subspace computed here
-is read off the one sparse elimination, ``linalg.eliminate``: ideals and
-subalgebras by one semi-naive closure, ``span_closure``, and the center
-as the nullspace of a system built as sparse rows.
+(``AlgebraPresentation.product_terms``).  Ideals, subalgebras and the
+span of generator words come from one semi-naive closure,
+``span_closure``, which holds its span as reduced rows and reduces each
+product by them; the center is the nullspace of a system built as
+sparse rows, read off the sparse elimination ``linalg.eliminate``.
 
 ``multiplicativity_failure`` is the one check that a linear map is
 multiplicative on every basis pair; the comultiplication and counit of
@@ -20,6 +21,18 @@ leg (r -> [(j, b)]), and each term e_p of the left factor walks only
 its right neighbours among those legs, the r with e_p e_r != 0
 (``right_partners`` over ``SparseTensor3.right_index``), so a pair
 whose product vanishes costs nothing.
+
+A law whose solutions form a subalgebra holds on A once it holds on a
+generating set G.  Each construction gives its algebra's generators,
+``generating_set`` proves them by one closure of the unit under right
+products by G, and the proved facts (the unit law, associativity,
+generation) are recorded on the multiplication tensor
+(``SparseTensor3.facts``), which drops them when it changes.  Then
+verify_algebra runs Light's test on the rows of G only, and
+multiplicativity_failure checks F(g e_j) = F(g) F(e_j) for g in G where
+``recorded_generators`` and ``on_record`` allow the generator lemma.
+Every failure, and every case without the facts, is the scan of every
+pair, so each witness is the first failing pair or triple.
 """
 
 from __future__ import annotations
@@ -44,7 +57,14 @@ def basis_names(names, dim) -> list:
 
 
 class AlgebraPresentation:
-    def __init__(self, field, dim, mul: SparseTensor3, unit, names=None):
+    """``generators`` is what a construction knows to generate the
+    algebra: a list of vectors (dense lists or sparse dicts i -> a), a
+    function of no arguments that returns one, or None, for the greedy
+    search of ``algebra_generators``, which resolves it once.  Nothing is
+    trusted: a verifier proves generation by ``generating_set`` before it
+    uses it."""
+
+    def __init__(self, field, dim, mul: SparseTensor3, unit, names=None, generators=None):
         if mul.dims != (dim, dim, dim):
             raise UsageError("multiplication tensor has wrong dimensions")
         if len(unit) != dim:
@@ -54,6 +74,8 @@ class AlgebraPresentation:
         self.mul = mul
         self.unit = list(unit)
         self.names = basis_names(names, dim) if names is not None else [f"e{i}" for i in range(dim)]
+        self.generators = generators
+        self._resolved = None  # (generators, their sparse operands)
 
     def basis_product(self, i, j):
         return self.mul.pair_index().get((i, j), [])
@@ -118,6 +140,25 @@ def dense_vector(field, dim, vec: dict):
     return out
 
 
+def combine(field, vectors, terms) -> dict:
+    """sum a vectors[i] over the (i, a) of terms, with no zero value;
+    each vectors[i] is a sparse dict or a list of (k, c)."""
+    mul, add, is_zero = field.mul, field.add, field.is_zero
+    out = {}
+    for i, a in terms:
+        v = vectors[i]
+        for k, c in v.items() if isinstance(v, dict) else v:
+            x = mul(a, c)
+            cur = out.get(k)
+            if cur is not None:
+                x = add(cur, x)
+            if is_zero(x):
+                out.pop(k, None)
+            else:
+                out[k] = x
+    return out
+
+
 def same_vector(field, u: dict, v: dict) -> bool:
     """Equality of two dict vectors i -> a, zero entries ignored."""
     if u == v:
@@ -138,7 +179,15 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
     basis element or triple as witness.  Associativity is multiplicativity
     of the left regular representation e_j -> L_j = {(k, n): mu[j,k,n]},
     one multiplicativity_failure over compose_row; for its failing pair,
-    k is the first with (e_i e_j) e_k != e_i (e_j e_k)."""
+    k is the first with (e_i e_j) e_k != e_i (e_j e_k).
+
+    Where the unit law holds and generating_set proves a generating set
+    G, the scan is Light's test: L_{g e_j} = L_g o L_j, that is
+    (g e_j) e_k = g (e_j e_k), for every g in G and all j, k, the rows of
+    L_g only.  It puts G in the left nucleus {a : (a x) y = a (x y)},
+    which is a subalgebra by the Teichmueller identity and holds 1, so
+    it is all of A.  A failing generator row falls back to the full scan,
+    whose first pair gives the witness.  A pass is recorded."""
     rep = Report()
     f = A.field
     d = A.dim
@@ -149,7 +198,8 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
     pairs = A.mul.pair_index()
     right = A.mul.right_index()
     L = [{(k, n): c for k, terms in right.get(j, ()) for n, c in terms} for j in range(d)]
-    failure = multiplicativity_failure(f, pairs, L, compose_row(f, L))
+    gens = generating_set(A) if bad is None else None
+    failure = multiplicativity_failure(f, A.mul, L, compose_row(f, L), gens)
     witness = None
     if failure is not None:
         i, j = failure
@@ -157,41 +207,176 @@ def verify_algebra(A: AlgebraPresentation) -> Report:
         k = next(k for k in range(d) if not same_vector(
             f, A.product_terms(ij, [(k, one)]), A.product_terms([(i, one)], pairs.get((j, k), []))))
         witness = {"triple": (i, j, k)}
+    else:
+        A.mul.facts()["associative"] = True
     rep.add("associativity", failure is None, witness)
     return rep
 
 
 def unit_law_failure(A: AlgebraPresentation):
     """First (side, i), with i increasing and "left" before "right", such
-    that 1 e_i or e_i 1 is not e_i, or None; 2 dim sparse products."""
+    that 1 e_i or e_i 1 is not e_i, or None; 2 dim sparse products, run
+    once per multiplication tensor and unit and recorded."""
+    facts = A.mul.facts()
+    key = ("unit law", tuple(A.unit))
+    if key not in facts:
+        f = A.field
+        one = f.one
+        unit = nonzero_terms(f, A.unit)
+        facts[key] = next(((side, i) for i in range(A.dim)
+                           for side, us, vs in (("left", unit, [(i, one)]), ("right", [(i, one)], unit))
+                           if not same_vector(f, A.product_terms(us, vs), {i: one})), None)
+    return facts[key]
+
+
+def on_record(A: AlgebraPresentation) -> bool:
+    """Whether A's record holds that its unit law holds and that it is
+    associative; runs no check."""
+    facts = A.mul.facts()
+    key = ("unit law", tuple(A.unit))
+    return facts.get("associative", False) and key in facts and facts[key] is None
+
+
+def recorded_generators(A: AlgebraPresentation):
+    """A's generators where the record makes the generator lemma sound
+    for a map out of A: on_record(A), and the generators are proved to
+    generate A.  None otherwise; starts no search and no proof."""
+    resolved = A._resolved
+    if resolved is None or resolved[0] is not A.generators or not on_record(A):
+        return None
+    gens = resolved[1]
+    return gens if A.mul.facts().get(("generated by", tuple(A.unit), gens)) else None
+
+
+def algebra_generators(A: AlgebraPresentation) -> tuple:
+    """A's generators as a tuple of sparse operands ((i, a), ...): the
+    ones its construction gave, or else a greedy search.  The search
+    takes each basis element in turn that lies outside the closure of the
+    ones taken so far and extends that one closure by it (span_closure's
+    rounds), and records whether they generate.  Resolved once and kept
+    on A."""
+    given = A.generators
+    if A._resolved is not None and A._resolved[0] is given:
+        return A._resolved[1]
     f = A.field
-    one = f.one
-    unit = nonzero_terms(f, A.unit)
-    return next(((side, i) for i in range(A.dim)
-                 for side, us, vs in (("left", unit, [(i, one)]), ("right", [(i, one)], unit))
-                 if not same_vector(f, A.product_terms(us, vs), {i: one})), None)
+    gens = given() if callable(given) else given
+    if gens is None:
+        by_pivot = _unit_span(A)
+        gens = []
+        for i in range(A.dim):
+            if len(by_pivot) == A.dim:
+                break
+            if not _residual(f, by_pivot, {i: f.one}):
+                continue  # e_i is in the closure
+            g = ((i, f.one),)
+            gens.append(g)
+            _grow(A, by_pivot, list(by_pivot.values()), "right", gens, first=[g])
+        gens = tuple(gens)
+        A.mul.facts()[("generated by", tuple(A.unit), gens)] = len(by_pivot) == A.dim
+    else:
+        gens = tuple(tuple(nonzero_terms(f, g)) for g in gens)
+    A._resolved = (given, gens)
+    return gens
 
 
-def multiplicativity_failure(field, pairs, images, row):
+def _unit_span(A: AlgebraPresentation) -> dict:
+    """The span of the unit as reduced rows by pivot column."""
+    f = A.field
+    unit = dict(nonzero_terms(f, A.unit))
+    return {} if not unit else {min(unit): _insert(f, {}, unit)}
+
+
+def generating_set(A: AlgebraPresentation):
+    """A's generators if they generate A as a unital algebra, else None.
+
+    G generates A when the left-nested words (... ((1 g_1) g_2) ...) g_k
+    span A: each lies in every unital subalgebra that contains G, whether
+    or not A is associative.  That span is one semi-naive closure of the
+    unit under right products by G (span_closure's rounds, one
+    row_product pass per row), run once per multiplication tensor, unit
+    and generating set and recorded."""
+    gens = algebra_generators(A)
+    facts = A.mul.facts()
+    key = ("generated by", tuple(A.unit), gens)
+    if key not in facts:
+        by_pivot = _unit_span(A)
+        _grow(A, by_pivot, list(by_pivot.values()), "right", gens)
+        facts[key] = len(by_pivot) == A.dim
+    return gens if facts[key] else None
+
+
+def multiplicativity_failure(field, mul, images, row, generators=None):
     """First basis pair (i, j), in increasing order, with F(e_i e_j)
     unequal to F(e_i) F(e_j), or None.
 
-    pairs is the source multiplication's pair index and images[k] = F(e_k)
-    a sparse dict (a scalar-valued map keys its nonzero values by (), see
-    scalar_images).  row(x) is the list [x images[j] for j] of products
-    in the target, formed in one pass (row_product, hopf.tt_row,
-    compose_row, pairwise_row); the row of F(e_i) is compared in
-    increasing j, so every pair is checked."""
-    mul, add, zero = field.mul, field.add, field.zero
+    mul is the source multiplication, its SparseTensor3 or its pair
+    index, and images[k] = F(e_k) a sparse dict (a scalar-valued map keys
+    its nonzero values by (), see scalar_images).  row(x) is the list
+    [x images[j] for j] of products in the target, formed in one pass
+    (row_product, hopf.tt_row, compose_row, pairwise_row); the row of
+    F(e_i) is compared in increasing j, so every pair is checked, and its
+    left sides F(e_i e_j) are formed in one pass over the right
+    neighbours of e_i.
+
+    With generators G (sparse operands [(i, a)]) the rows F(g e_j) =
+    F(g) F(e_j) of each g in G are checked first, where the F(g) hold
+    fewer terms than the F(e_i) (fewer_terms), and if all hold the map is
+    multiplicative.  That is the generator lemma: the set
+    {a : F(a b) = F(a) F(b) for all b} is a subalgebra that holds 1 and
+    G, so the caller passes G only when G is proved to generate the
+    source, both ends are associative with their unit laws, and F is
+    unital (recorded_generators, on_record).  A failing generator row
+    falls back to the full scan, which gives the first pair."""
+    right = mul.right_index() if isinstance(mul, SparseTensor3) else _by_first(mul)
+    mul_, add, one = field.mul, field.add, field.one
+
+    def left_side(terms):
+        """sum c images[k] over the (k, c) of terms, a new dict."""
+        out = {}
+        for k, c in terms:
+            for t, v in images[k].items():
+                cur = out.get(t)
+                v = v if c == one else mul_(c, v)
+                out[t] = v if cur is None else add(cur, v)
+        return out
+
+    xs = None if generators is None else [combine(field, images, g) for g in generators]
+    if xs is not None and fewer_terms(xs, images):
+        for g, x in zip(generators, xs):
+            terms = {}  # j -> the terms of g e_j
+            for i, a in g:
+                for j, ij in right.get(i, ()):
+                    terms.setdefault(j, []).extend((k, mul_(a, c)) for k, c in ij)
+            if not all(same_vector(field, left_side(terms[j]) if j in terms else _EMPTY, product)
+                       for j, product in enumerate(row(x))):
+                break
+        else:
+            return None
     for i, x in enumerate(images):
+        lhs = {j: images[terms[0][0]] if len(terms) == 1 and terms[0][1] == one else left_side(terms)
+               for j, terms in right.get(i, ())}
         for j, product in enumerate(row(x)):
-            lhs = {}
-            for k, c in pairs.get((i, j), ()):
-                for t, v in images[k].items():
-                    lhs[t] = add(lhs.get(t, zero), mul(c, v))
-            if not same_vector(field, lhs, product):
+            if not same_vector(field, lhs.get(j, _EMPTY), product):
                 return i, j
     return None
+
+
+_EMPTY = {}
+
+
+def fewer_terms(xs, images) -> bool:
+    """Whether the rows of xs hold fewer terms than those of images: a
+    row costs in proportion to its left factor, so the generator rows
+    are taken only where they are the cheaper check."""
+    return sum(map(len, xs)) < sum(map(len, images))
+
+
+def _by_first(pairs):
+    """The right-neighbour lists i -> [(j, terms)] of a pair index."""
+    out = {}
+    for (i, j), terms in pairs.items():
+        out.setdefault(i, []).append((j, terms))
+    return out
 
 
 def right_partners(mul: SparseTensor3, by_first: dict):
@@ -304,38 +489,141 @@ def center(A: AlgebraPresentation) -> Subspace:
     return Subspace(f, A.dim, nullspace_rows(f, sparse_rows(f, rows.values()), A.dim))
 
 
-def span_closure(A: AlgebraPresentation, vectors, kind) -> Subspace:
+def span_closure(A: AlgebraPresentation, vectors, kind, factors=None, words=False):
     """Smallest subspace containing vectors that is a two-sided ideal
-    (kind "two-sided"), a left ideal ("left") or a subalgebra
-    ("subalgebra").
+    (kind "two-sided"), a left ideal ("left"), a right ideal ("right") or
+    a subalgebra ("subalgebra").  With factors, a list of sparse
+    operands, the products are by those factors instead of by the basis:
+    the smallest subspace containing vectors and closed under products by
+    each factor on the side or sides of the kind.
 
-    Semi-naive: the seeds are eliminated once as sparse rows; each round
-    multiplies only the rows whose pivot is new, by every basis element
-    on the sides of an ideal, or by every row in both orders for a
-    subalgebra, and eliminates the current rows with those products.  A
-    row with a new pivot is zero at every old pivot, so the old span and
-    the new rows together span the new space and the products of the old
-    span were taken in earlier rounds.  The first round with no new pivot
-    ends it, after at most dim rounds."""
+    Semi-naive: the span is held as reduced rows by pivot column, each
+    product is reduced by them (``_residual``), and only a product
+    outside the span becomes a new row (``_insert``); only the new rows
+    are multiplied, by every factor on the sides of the kind, or by every
+    row in both orders for a subalgebra.  A row changed by a later
+    insertion differs from the one multiplied by a multiple of a newer
+    row, whose products are taken too, so the span of the rows is closed
+    when no product adds a row.
+
+    With words (kind "right" and factors) the products are of the kept
+    products themselves, and it returns the subspace and a basis of it
+    as (word, vector) pairs: the word (s, f_1, ..., f_k) is the vector
+    (... (vectors[s] factors[f_1]) ...) factors[f_k], kept when it lies
+    outside the span of the words before it, in round order."""
     f = A.field
     d = A.dim
+    if factors is None and kind != "subalgebra":
+        factors = [((i, f.one),) for i in range(d)]
+    by_pivot = {}
+    if not words:
+        seeds = [_insert(f, by_pivot, v) for v in (_residual(f, by_pivot, u) for u in sparse_rows(f, vectors))
+                 if v]
+        _grow(A, by_pivot, seeds, kind, factors)
+        return Subspace(f, d, [dense_vector(f, d, by_pivot[pc]) for pc in sorted(by_pivot)])
+    basis = []
+
+    def admit(word, vec):
+        """Keep vec under word if it is outside the span; the span grows."""
+        v = _residual(f, by_pivot, vec)
+        if v:
+            _insert(f, by_pivot, v)
+            basis.append((word, vec))
+        return bool(v)
+
+    new = [((s,), vec) for s, vec in enumerate(sparse_rows(f, vectors)) if admit((s,), vec)]
+    while new and len(by_pivot) < d:
+        kept = []
+        for word, vec in new:
+            operand = list(vec.items())
+            for n, factor in enumerate(factors):
+                product = dict(nonzero_terms(f, A.product_terms(operand, factor)))
+                if admit(word + (n,), product):
+                    kept.append(basis[-1])
+        new = kept
+    return Subspace(f, d, [dense_vector(f, d, by_pivot[pc]) for pc in sorted(by_pivot)]), [
+        (word, dense_vector(f, d, vec)) for word, vec in basis]
+
+
+def _grow(A: AlgebraPresentation, by_pivot, new, kind, factors, first=None):
+    """span_closure's rounds on the reduced rows by_pivot, extended in
+    place, of which new are still to be multiplied; the first round
+    multiplies them by first instead of factors when it is given (one new
+    factor of a closed span).  Right products by fixed factors are one
+    row_product pass per row."""
+    f = A.field
     product_terms = A.product_terms
-    basis = [[(i, f.one)] for i in range(d)]
-    rows, pivots = eliminate(f, sparse_rows(f, vectors))
-    new = rows
+
+    def right_row(round_factors):
+        return row_product(A, [dict(g) for g in round_factors]) if kind == "right" else None
+
+    def products(row, round_factors, times):
+        if times is not None:
+            return times(row)
+        operand = list(row.items())
+        out = [product_terms(factor, operand) for factor in round_factors]
+        if kind != "left":
+            out += [product_terms(operand, factor) for factor in round_factors]
+        return out
+
+    times = right_row(factors)
     while new:
-        products = []
-        factors = basis if kind != "subalgebra" else [list(r.items()) for r in rows]
+        if first is not None:
+            round_factors, first = first, None
+            round_times = right_row(round_factors)
+        else:
+            round_factors = factors if factors is not None else [list(r.items()) for r in by_pivot.values()]
+            round_times = times
+        added = []
         for row in new:
-            operand = list(row.items())
-            for factor in factors:
-                products.append(product_terms(factor, operand))
-                if kind != "left":
-                    products.append(product_terms(operand, factor))
-        old = set(pivots)
-        rows, pivots = eliminate(f, rows + sparse_rows(f, products))
-        new = [row for row, pc in zip(rows, pivots) if pc not in old]
-    return Subspace(f, d, [dense_vector(f, d, row) for row in rows])
+            for p in products(row, round_factors, round_times):
+                v = _residual(f, by_pivot, p)
+                if v:
+                    added.append(_insert(f, by_pivot, v))
+        new = added
+
+
+def _residual(field, by_pivot, vec) -> dict:
+    """vec, a dict, less its part in the span of the reduced rows held by
+    pivot column (by_pivot), with no zero value: empty exactly when vec
+    lies in the span.  A row is zero at every other pivot, so one
+    subtraction per pivot of vec suffices."""
+    mul, sub, is_zero = field.mul, field.sub, field.is_zero
+    out = {k: a for k, a in vec.items() if not is_zero(a)}
+    for pc in [k for k in out if k in by_pivot]:
+        c = out[pc]
+        for j, a in by_pivot[pc].items():
+            x = out.get(j)
+            x = field.neg(mul(c, a)) if x is None else sub(x, mul(c, a))
+            if is_zero(x):
+                del out[j]
+            else:
+                out[j] = x
+    return out
+
+
+def _insert(field, by_pivot, v) -> dict:
+    """Add a nonzero residual v of by_pivot as a reduced row: scaled to
+    one at its first column, its pivot, and subtracted from every row
+    with a nonzero there, so each row stays zero at every other pivot.
+    Returns the new row."""
+    mul, sub, is_zero = field.mul, field.sub, field.is_zero
+    pc = min(v)
+    if not field.is_one(v[pc]):
+        inv = field.inv(v[pc])
+        v = {j: mul(inv, a) for j, a in v.items()}
+    for row in by_pivot.values():
+        c = row.get(pc)
+        if c is not None:
+            for j, a in v.items():
+                x = row.get(j)
+                x = field.neg(mul(c, a)) if x is None else sub(x, mul(c, a))
+                if is_zero(x):
+                    del row[j]
+                else:
+                    row[j] = x
+    by_pivot[pc] = v
+    return v
 
 
 def two_sided_ideal(A: AlgebraPresentation, generators) -> Subspace:
@@ -356,7 +644,8 @@ def quotient_algebra(A: AlgebraPresentation, ideal: Subspace):
 
     The quotient basis is the set of non-pivot coordinates of the ideal's
     RREF, the section lifts them coordinate-wise.  Basis products are
-    read sparse off the pair index and projected column by column.
+    read sparse off the pair index and projected column by column.  The
+    quotient's generators are the images of A's.
     """
     f = A.field
     comp = ideal.complement_indices()
@@ -375,15 +664,17 @@ def quotient_algebra(A: AlgebraPresentation, ideal: Subspace):
     mul = SparseTensor3(f, (qdim, qdim, qdim))
     for s in range(qdim):
         for t in range(qdim):
-            prod = {}
-            for k, c in A.basis_product(comp[s], comp[t]):
-                for r, p in proj_columns[k]:
-                    prod[r] = f.add(prod.get(r, f.zero), f.mul(c, p))
+            prod = combine(f, proj_columns, A.basis_product(comp[s], comp[t]))
             for r, c in sorted(prod.items()):
                 mul.set(s, t, r, c)
     unit = proj.apply(A.unit)
     names = [f"[{A.names[i]}]" for i in comp]
-    B = AlgebraPresentation(f, qdim, mul, unit, names)
+
+    def generators():
+        # the images of A's generators generate the quotient
+        return [combine(f, proj_columns, g) for g in algebra_generators(A)]
+
+    B = AlgebraPresentation(f, qdim, mul, unit, names, generators)
     return B, proj, section
 
 
@@ -638,7 +929,8 @@ def _is_character(A, chi):
     f = A.field
     if not f.is_one(f.sum(f.mul(c, u) for c, u in zip(chi, A.unit))):
         return False
-    return multiplicativity_failure(f, A.mul.pair_index(), *scalar_images(f, chi)) is None
+    # the field is associative, and chi is unital here
+    return multiplicativity_failure(f, A.mul, *scalar_images(f, chi), recorded_generators(A)) is None
 
 
 def _matrix_power(M: Matrix, e: int) -> Matrix:

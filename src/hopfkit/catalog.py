@@ -4,7 +4,11 @@ generalization (taft), duals, tensor products, doubles, twists and
 quotients.
 
 Every builder output passes verify_hopf; incompatible parameters raise
-BuilderError naming the violated constraint.
+BuilderError naming the violated constraint.  Each builder gives its
+algebra's generators: g for a cyclic group, the transpositions for S_n,
+a and x for sweedler and Taft; a tensor product, a double and a quotient
+take them from their parts, and a group given by its table or a dual has
+them searched for (algebra.algebra_generators).
 """
 
 from __future__ import annotations
@@ -17,11 +21,13 @@ from .linalg import Matrix
 from .tensors import SparseTensor3
 
 
-def group_algebra(field: Field, table, names=None) -> HopfAlgebra:
+def group_algebra(field: Field, table, names=None, generators=None) -> HopfAlgebra:
     """Group algebra from a Cayley table (table[i][j] = index of g_i g_j).
 
     The identity must be the element at index 0.  Group-likes diagonal,
-    counit one, antipode permutes to inverses.
+    counit one, antipode permutes to inverses.  generators lists indices
+    of group elements that generate the group; without them the algebra's
+    generators are searched for when a verifier needs them.
     """
     n = len(table)
     if n == 0:
@@ -52,7 +58,9 @@ def group_algebra(field: Field, table, names=None) -> HopfAlgebra:
     for j in range(n):
         S.rows[inverses[j]][j] = f.one
     names = list(names) if names else [f"g{i}" for i in range(n)]
-    alg = AlgebraPresentation(f, n, mul, unit, names)
+    if generators is not None:
+        generators = [{i: f.one} for i in generators]
+    alg = AlgebraPresentation(f, n, mul, unit, names, generators)
     return HopfAlgebra(alg, comul, counit, S, names)
 
 
@@ -62,7 +70,7 @@ def cyclic_table(n: int):
 
 def cyclic_group_algebra(field: Field, n: int) -> HopfAlgebra:
     names = ["1"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
-    return group_algebra(field, cyclic_table(n), names)
+    return group_algebra(field, cyclic_table(n), names, [1] if n > 1 else [])
 
 
 def _perm_compose(p, q):
@@ -70,13 +78,18 @@ def _perm_compose(p, q):
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def symmetric_table(n: int):
+def _permutations(n: int):
+    """The permutations of range(n), the identity first, then sorted."""
     import itertools
 
     perms = sorted(itertools.permutations(range(n)))
     identity = tuple(range(n))
     perms.remove(identity)
-    perms = [identity] + perms
+    return [identity] + perms
+
+
+def symmetric_table(n: int):
+    perms = _permutations(n)
     index = {p: i for i, p in enumerate(perms)}
     table = [[index[_perm_compose(p, q)] for q in perms] for p in perms]
     names = ["e"] + ["".join(str(x) for x in p) for p in perms[1:]]
@@ -85,7 +98,10 @@ def symmetric_table(n: int):
 
 def symmetric_group_algebra(field: Field, n: int) -> HopfAlgebra:
     table, names = symmetric_table(n)
-    return group_algebra(field, table, names)
+    # the transpositions, which generate S_n
+    transpositions = [i for i, p in enumerate(_permutations(n))
+                      if sum(x != y for x, y in enumerate(p)) == 2]
+    return group_algebra(field, table, names, transpositions)
 
 
 def sweedler(field: Field) -> HopfAlgebra:
@@ -117,7 +133,7 @@ def sweedler(field: Field) -> HopfAlgebra:
     comul.set(ax, a, ax, f.one)
     unit = [f.one, f.zero, f.zero, f.zero]
     counit = [f.one, f.one, f.zero, f.zero]
-    alg = AlgebraPresentation(f, 4, mul, unit, names)
+    alg = AlgebraPresentation(f, 4, mul, unit, names, [{a: f.one}, {x: f.one}])
     return HopfAlgebra(alg, comul, counit, None, names)
 
 
@@ -174,7 +190,7 @@ def taft(field: Field, p: int, omega) -> HopfAlgebra:
     unit = [f.zero] * d
     unit[idx(0, 0)] = f.one
     counit = [f.one if j == 0 else f.zero for i in range(p) for j in range(p)]
-    alg = AlgebraPresentation(f, d, mul, unit, names)
+    alg = AlgebraPresentation(f, d, mul, unit, names, [{idx(1, 0): f.one}, {idx(0, 1): f.one}])
     return HopfAlgebra(alg, comul, counit, None, names)
 
 
@@ -194,7 +210,7 @@ def _gauss_binomials(field, q, p):
 
 
 def trivial_hopf(field: Field) -> HopfAlgebra:
-    return group_algebra(field, [[0]], ["1"])
+    return group_algebra(field, [[0]], ["1"], [])
 
 
 _BUILDERS = ("group_algebra", "cyclic", "symmetric", "sweedler", "taft",

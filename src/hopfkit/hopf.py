@@ -39,16 +39,26 @@ the same rows, with no unit placed on a leg: ``r_leg_products`` forms
 R13 R23 and R13 R12 from one ``row_product`` over the slices of R by a
 leg, and ``cocycle_sides`` each side of the 2-cocycle identity from one
 tt_row over the slices of (Delta x id)(J) or (id x Delta)(J) by the leg
-that meets 1.  Both rest on 1 x = x = x 1 and decide it once per call
-(``algebra.unit_law_failure``); where it fails they multiply the legs
-out literally, the unit on a leg by ``t3_embed`` and the product by
-``t3_mul``, which walks the same right-neighbour lists.
+that meets 1.  Both rest on 1 x = x = x 1, decided once per algebra and
+unit and recorded (``algebra.unit_law_failure``); where it fails they
+multiply the legs out literally, the unit on a leg by ``t3_embed`` and
+the product by ``t3_mul``, which walks the same right-neighbour lists.
+
+Once verify_algebra has recorded H's algebra and its generators, the
+algebra-map checks of verify_hopf and verify_morphism run on generator
+rows (``algebra.multiplicativity_failure``), and verify_hopf records a
+unital multiplicative Delta on the comultiplication tensor, which
+``comultiplicative_generators`` reads for the intertwining check of
+qt.verify_rmatrix.  tensor_hopf gives g (x) 1 and 1 (x) h as the
+generators of a tensor product, a quotient the images of the
+generators, and dual_hopf none (they are searched for when asked).
 """
 
 from __future__ import annotations
 
 from .algebra import (
     AlgebraPresentation,
+    algebra_generators,
     basis_names,
     characters,
     center,
@@ -56,11 +66,14 @@ from .algebra import (
     left_ideal,
     multiplicativity_failure,
     nonzero_terms,
+    on_record,
     quotient_algebra,
+    recorded_generators,
     right_partners,
     row_product,
     same_vector,
     scalar_images,
+    span_closure,
     subalgebra_closure,
     unit_law_failure,
     verify_algebra,
@@ -523,7 +536,11 @@ def sparse_columns(M: Matrix):
 
 
 def verify_hopf(H: HopfAlgebra) -> Report:
-    """Full axiom run; failures carry the first violating basis index."""
+    """Full axiom run; failures carry the first violating basis index or
+    pair.  Once verify_algebra has recorded H's algebra and proved its
+    generators, Delta and eps are checked as algebra maps on the
+    generator rows (multiplicativity_failure), and a multiplicative,
+    unital Delta is recorded for comultiplicative_generators."""
     f = H.field
     d = H.dim
     rep = Report()
@@ -535,13 +552,17 @@ def verify_hopf(H: HopfAlgebra) -> Report:
 
     ok = H.comul_of(H.unit) == tt_unit(H)
     rep.add("comultiplication of the unit", ok)
-    pairs = H.mul.pair_index()
+    # H (x) H and the field are associative with their unit laws when H is
+    gens = recorded_generators(H.algebra)
     deltas = [comul_dict(H.basis_comul, i) for i in range(d)]
-    bad = multiplicativity_failure(f, pairs, deltas, tt_row(H, deltas))
+    bad = multiplicativity_failure(f, H.mul, deltas, tt_row(H, deltas), gens if ok else None)
     rep.add("comultiplication is an algebra map", bad is None, _pair_witness(H, bad))
+    if ok and bad is None:
+        mul_facts = H.mul.facts()
+        H.comul.facts()[("multiplicative", id(mul_facts), tuple(H.unit))] = mul_facts
 
     ok = f.is_one(H.counit_of(H.unit))
-    bad = multiplicativity_failure(f, pairs, *scalar_images(f, H.counit)) if ok else None
+    bad = multiplicativity_failure(f, H.mul, *scalar_images(f, H.counit), gens) if ok else None
     rep.add("counit is an algebra map", ok and bad is None, _pair_witness(H, bad))
 
     S = H.antipode
@@ -552,6 +573,18 @@ def verify_hopf(H: HopfAlgebra) -> Report:
             "computed by convolution inversion" if H.antipode_source == "computed" else None)
     rep.add("antipode law", _antipode_ok(H, S))
     return rep
+
+
+def comultiplicative_generators(H: HopfAlgebra):
+    """recorded_generators(H.algebra) where the record also holds that
+    Delta is unital and multiplicative over this multiplication and unit,
+    as verify_hopf records on a pass; None otherwise.  Then a law on x
+    whose solutions are closed under products, such as
+    R Delta(x) = Delta^op(x) R, holds on H once it holds on them."""
+    mul_facts = H.mul.facts()
+    if H.comul.facts().get(("multiplicative", id(mul_facts), tuple(H.unit))) is not mul_facts:
+        return None
+    return recorded_generators(H.algebra)
 
 
 def _basis_witness(H, bad):
@@ -610,14 +643,19 @@ def identity_morphism(H: HopfAlgebra) -> HopfMorphism:
 
 def verify_morphism(fmor: HopfMorphism) -> Report:
     """Intertwining with multiplication, unit, comultiplication, counit
-    on all basis pairs (a bijective such map then preserves S as well)."""
+    on all basis pairs (a bijective such map then preserves S as well).
+    Multiplicativity is checked on generator rows where the record
+    allows it (both algebras on record, the source's generators proved,
+    the map unital), and on every pair otherwise."""
     rep = Report()
     A, B, M = fmor.source, fmor.target, fmor.matrix
     f = A.field
-    rep.add("sends unit to unit", M.apply(A.unit) == B.unit)
+    unital = M.apply(A.unit) == B.unit
+    rep.add("sends unit to unit", unital)
 
     images = [dict(col) for col in sparse_columns(M)]
-    bad = multiplicativity_failure(f, A.mul.pair_index(), images, row_product(B.algebra, images))
+    gens = recorded_generators(A.algebra) if unital and on_record(B.algebra) else None
+    bad = multiplicativity_failure(f, A.mul, images, row_product(B.algebra, images), gens)
     rep.add("multiplicative", bad is None, _pair_witness(A, bad))
 
     bad = comultiplicativity_failure(f, A.basis_comul, M, B.comul_of)
@@ -639,7 +677,8 @@ def verify_morphism(fmor: HopfMorphism) -> Report:
 
 def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
     """The dual Hopf algebra on dual-basis coordinates: multiplication is
-    the transpose of the comultiplication and vice versa."""
+    the transpose of the comultiplication and vice versa.  Its algebra's
+    generators are left to the greedy search of algebra_generators."""
     f = H.field
     d = H.dim
     mul = SparseTensor3(f, (d, d, d))
@@ -657,7 +696,8 @@ def dual_hopf(H: HopfAlgebra) -> HopfAlgebra:
 
 def tensor_hopf(H1: HopfAlgebra, H2: HopfAlgebra) -> HopfAlgebra:
     """Componentwise structure on the flat-indexed tensor basis
-    e_i (x) e_j -> i * dim2 + j."""
+    e_i (x) e_j -> i * dim2 + j, with the generators of
+    tensor_generators."""
     if H1.field != H2.field:
         raise UsageError("tensor factors live over different fields")
     f = H1.field
@@ -681,8 +721,21 @@ def tensor_hopf(H1: HopfAlgebra, H2: HopfAlgebra) -> HopfAlgebra:
         antipode = None
     else:
         antipode = H1.antipode.kron(H2.antipode)
-    alg = AlgebraPresentation(f, d, mul, unit, names)
+    alg = AlgebraPresentation(f, d, mul, unit, names, tensor_generators(H1.algebra, H2.algebra))
     return HopfAlgebra(alg, comul, counit, antipode, names)
+
+
+def tensor_generators(A1: AlgebraPresentation, A2: AlgebraPresentation):
+    """The generators g (x) 1 and 1 (x) h of A1 (x) A2 in its flat basis,
+    for the generators g of A1 and h of A2, as the function that resolves
+    them when a verifier asks."""
+    def generators():
+        f, d2 = A1.field, A2.dim
+        ones1, ones2 = nonzero_terms(f, A1.unit), nonzero_terms(f, A2.unit)
+        return ([{i * d2 + j: f.mul(a, b) for i, a in g for j, b in ones2} for g in algebra_generators(A1)]
+                + [{i * d2 + j: f.mul(a, b) for i, a in ones1 for j, b in h} for h in algebra_generators(A2)])
+
+    return generators
 
 
 def op_cop(H: HopfAlgebra, variant: str):
@@ -698,7 +751,8 @@ def op_cop(H: HopfAlgebra, variant: str):
         mul = SparseTensor3(f, (d, d, d))
         for (i, j, k), v in H.mul.items_sorted():
             mul.set(j, i, k, v)
-        alg = AlgebraPresentation(f, d, mul, list(H.unit), list(H.names))
+        # a set generates the opposite algebra exactly when it generates H
+        alg = AlgebraPresentation(f, d, mul, list(H.unit), list(H.names), H.algebra.generators)
         out = HopfAlgebra(alg, H.comul, list(H.counit), H.antipode, list(H.names))
     elif variant == "cop":
         comul = SparseTensor3(f, (d, d, d))
@@ -981,33 +1035,15 @@ def _signature(H: HopfAlgebra):
 
 
 def _word_basis(H: HopfAlgebra, gens):
-    """Products of generators spanning H, as (words, vectors); None if the
-    generators do not generate."""
+    """Products of generators spanning H, as (words, vectors): the word
+    (g_1, ..., g_k) is the vector (... (1 gens[g_1]) ...) gens[g_k], read
+    off span_closure with words; None if the generators do not generate."""
     f = H.field
-    words = [()]
-    vectors = [list(H.unit)]
-    span = Subspace(f, H.dim, vectors)
-    frontier = [()]
-    while span.dim < H.dim and frontier:
-        new_frontier = []
-        for w in frontier:
-            base = vectors[words.index(w)]
-            for gi, gvec in enumerate(gens):
-                cand = H.algebra.product(base, gvec)
-                if not span.contains(cand):
-                    word = w + (gi,)
-                    words.append(word)
-                    vectors.append(cand)
-                    span = Subspace(f, H.dim, vectors)
-                    new_frontier.append(word)
-                    if span.dim == H.dim:
-                        break
-            if span.dim == H.dim:
-                break
-        frontier = new_frontier
+    span, basis = span_closure(H.algebra, [H.unit], "right",
+                               [nonzero_terms(f, g) for g in gens], words=True)
     if span.dim != H.dim:
         return None
-    return words, vectors
+    return [word[1:] for word, _ in basis], [vec for _, vec in basis]
 
 
 def find_hopf_isomorphism(A: HopfAlgebra, B: HopfAlgebra, grid=None):

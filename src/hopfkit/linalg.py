@@ -7,8 +7,8 @@ candidate as pivot row; ``solve_rows`` reads one solution of an
 augmented system off it and ``nullspace_rows`` the canonical nullspace
 basis.  Callers with a large sparse system (the antipode, the
 regular-representation inverse in H (x) H, the center, coinvariant and
-skew-primitive systems, the closures of ideals and subalgebras) build
-its rows as dicts and call these directly, never a dense matrix.  The
+skew-primitive systems) build its rows as dicts and call these
+directly, never a dense matrix.  The
 pivot columns are taken in increasing order (lowest column index
 first), so the RREF, its pivot tuple and the quotient bases, nullspaces
 and subspace normal forms read off it are deterministic and

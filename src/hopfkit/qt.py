@@ -18,7 +18,11 @@ apply_twist J Delta(e_i) likewise; the fixed right factor on the other
 side (R, J^-1) is one single-image row, built once for every i.  The
 tensor-cube sides of the coproduct axioms and of the 2-cocycle identity
 come from hopf.r_leg_products and hopf.cocycle_sides, which place no
-unit on a leg when the unit law holds.
+unit on a leg when the unit law holds.  The intertwining
+R Delta(x) = Delta^op(x) R is checked on generators where verify_hopf
+has recorded Delta multiplicative (hopf.comultiplicative_generators);
+the double's generators are those of the dual factor (x) 1 and
+1 (x) those of K (hopf.tensor_generators).
 
 Transmutation holds the adjoint action h_(1) v S(h_(2)) once, as sparse
 columns.  transmute and check_braided_projection share braided_product,
@@ -32,7 +36,9 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
     AlgebraPresentation,
+    combine,
     dense_vector,
+    fewer_terms,
     multiplicativity_failure,
     nonzero_terms,
     pairwise_row,
@@ -54,6 +60,7 @@ from .hopf import (
     cocycle_sides,
     coinvariant_space,
     comul_dict,
+    comultiplicative_generators,
     comultiplicativity_failure,
     comul_image,
     comul_leg,
@@ -69,6 +76,7 @@ from .hopf import (
     tt_outer,
     tt_row,
     tt_unit,
+    tensor_generators,
     tensor_hopf,
     _antipode_ok,
 )
@@ -249,11 +257,19 @@ def verify_rmatrix(H: HopfAlgebra, R: TensorSquareElement) -> QTStructure:
     """Invertibility, both coproduct axioms, and the coproduct-flip
     intertwining on every basis element; flags are computed, not claimed.
 
+    The x with R Delta(x) = Delta^op(x) R form a subalgebra that holds 1
+    when Delta is a unital algebra map and H is associative, so where
+    verify_hopf has recorded that (hopf.comultiplicative_generators) the
+    intertwining is checked on H's generators, where their coproducts
+    hold fewer terms (algebra.fewer_terms); a failing generator, or a
+    missing record, gives the scan of every basis element and its first
+    failing one as witness.
+
     For R = sum r_pq e_p (x) e_q the right sides of the coproduct axioms
     are taken in closed form, R13 R23 = sum r_pq r_st e_p (x) e_s (x) e_q e_t
     and R13 R12 = sum r_pq r_st e_p e_s (x) e_t (x) e_q, which holds when
-    1 x = x = x 1; the unit law is decided once per call, and where it
-    fails the unit is placed on a leg and multiplied out
+    1 x = x = x 1; the unit law is decided once per algebra and unit, and
+    where it fails the unit is placed on a leg and multiplied out
     (hopf.r_leg_products).  Either way the comparison is exact."""
     f = H.field
     rep = Report()
@@ -266,12 +282,22 @@ def verify_rmatrix(H: HopfAlgebra, R: TensorSquareElement) -> QTStructure:
     rep.add("(Delta x id)(R) = R13 R23", comul_leg(H, R.coeffs, 0) == r13_r23)
     rep.add("(id x Delta)(R) = R13 R12", comul_leg(H, R.coeffs, 1) == r13_r12)
 
-    # R Delta(e_i) for every i in one row; Delta^op(e_i) R through one
-    # row of the fixed right factor R
+    # R Delta(x) for every x in one row; Delta^op(x) R through one row of
+    # the fixed right factor R; x over the generators where the record
+    # allows it, and over the basis otherwise or where one fails
     deltas = [comul_dict(H.basis_comul, i) for i in range(H.dim)]
     times_r = tt_row(H, [R.coeffs])
-    bad = next((i for i, lhs in enumerate(tt_row(H, deltas)(R.coeffs))
-                if not same_vector(f, lhs, times_r(tt_flip(deltas[i]))[0])), None)
+
+    def first_failure(xs):
+        return next((i for i, lhs in enumerate(tt_row(H, xs)(R.coeffs))
+                     if not same_vector(f, lhs, times_r(tt_flip(xs[i]))[0])), None)
+
+    gens = comultiplicative_generators(H)
+    xs = None if gens is None else [combine(f, deltas, g) for g in gens]
+    if xs is not None and fewer_terms(xs, deltas) and first_failure(xs) is None:
+        bad = None
+    else:
+        bad = first_failure(deltas)
     rep.add("R Delta(h) = flipped-Delta(h) R", bad is None, _basis_witness(H, bad))
 
     verified = rep.ok
@@ -403,9 +429,9 @@ def verify_twist(H: HopfAlgebra, J: TensorSquareElement, inverse_candidates=()) 
     apply_twist forms; an R-matrix R passes it, with Delta^R = Delta^cop,
     and R^-1 in general does not.
 
-    When 1 x = x = x 1, decided once per call, the leg that meets 1
-    passes through: the left side is sum (J X_c) (x) e_c over the slices
-    X_c of (Delta x id)(J) by third leg, and the right side
+    When 1 x = x = x 1, decided once per algebra and unit, the leg that
+    meets 1 passes through: the left side is sum (J X_c) (x) e_c over the
+    slices X_c of (Delta x id)(J) by third leg, and the right side
     sum e_a (x) (J Y_a) over the slices Y_a of (id x Delta)(J) by first
     leg; where the unit law fails both are multiplied out with the unit
     on a leg (hopf.cocycle_sides)."""
@@ -538,7 +564,8 @@ def double_hopf(K: HopfAlgebra) -> HopfAlgebra:
     unit = [f.mul(Kd.unit[a], K.unit[h]) for a in range(n) for h in range(n)]
     counit = [f.mul(Kd.counit[a], K.counit[h]) for a in range(n) for h in range(n)]
     names = [f"{K.names[a]}*@{K.names[h]}" for a in range(n) for h in range(n)]
-    alg = AlgebraPresentation(f, d, mul, unit, names)
+    # as an algebra generated by those of the dual factor (x) 1 and 1 (x) K's
+    alg = AlgebraPresentation(f, d, mul, unit, names, tensor_generators(Kd.algebra, K.algebra))
 
     # antipode: S(f (x) h) = (eps (x) S(h)) * (f o S^-1 (x) 1)
     columns = []
@@ -689,15 +716,6 @@ def adjoint_action_matrices(H: HopfAlgebra):
     return [[ad(i, t) for t in range(H.dim)] for i in range(H.dim)]
 
 
-def _combine(f, columns, vec) -> dict:
-    """sum c columns[u] over the terms (u, c) of the sparse operand vec."""
-    out = {}
-    for u, c in vec:
-        for k, v in columns[u]:
-            _put(f, out, k, f.mul(c, v))
-    return out
-
-
 def braided_product(left: AlgebraPresentation, right: AlgebraPresentation,
                     R: TensorSquareElement, ad_left, ad_right):
     """(u (x) v)(w (x) z) = sum u x (x) y z on left (x) right, over the
@@ -794,7 +812,7 @@ def _verify_braided(data: BraidedHopfData) -> Report:
 
     deltas = [comul_dict(data.basis_braided_comul, t) for t in range(d)]
     product = braided_product(H.algebra, H.algebra, data.R, data.action, data.action)
-    bad = multiplicativity_failure(f, H.mul.pair_index(), deltas, pairwise_row(deltas, product))
+    bad = multiplicativity_failure(f, H.mul, deltas, pairwise_row(deltas, product))
     rep.add("braided coproduct is multiplicative for the braiding", bad is None,
             _pair_witness(H, bad))
 
@@ -825,21 +843,21 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
     BH = transmute(Q)
     BK = transmute(Q, pi)
     # ad_K[i][t] is the action of e_i in H on e_t in K, through pi(e_i)
-    ad_K = [[list(_combine(f, column, P_columns[i]).items()) for column in zip(*BK.action)]
+    ad_K = [[list(combine(f, column, P_columns[i]).items()) for column in zip(*BK.action)]
             for i in range(d)]
 
     bad = comultiplicativity_failure(f, BH.basis_braided_comul, P, BK.braided_comul_of)
     rep.add("projection intertwines the braided coproducts", bad is None, _basis_witness(H, bad))
 
     wit = next(({"pair": (H.names[i], H.names[t])} for i in range(d) for t in range(d)
-                if _combine(f, P_columns, BH.action[i][t]) != _combine(f, ad_K[i], P_columns[t])),
+                if combine(f, P_columns, BH.action[i][t]) != combine(f, ad_K[i], P_columns[t])),
                None)
     rep.add("projection is equivariant for the adjoint actions", wit is None, wit)
 
     # (id x pi) o braided-Delta is multiplicative for the braided product on H (x) K
     pushed = [tt_apply(f, comul_dict(BH.basis_braided_comul, t), None, P) for t in range(d)]
     product = braided_product(H.algebra, BK.hopf.algebra, Q.R, BH.action, ad_K)
-    bad = multiplicativity_failure(f, H.mul.pair_index(), pushed, pairwise_row(pushed, product))
+    bad = multiplicativity_failure(f, H.mul, pushed, pairwise_row(pushed, product))
     rep.add("braided comodule-algebra compatibility", bad is None, _pair_witness(H, bad))
     return rep
 
@@ -919,7 +937,7 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
     bh = transmute(Q)
     phi = monodromy(Q).to_matrix().transpose()
     images = [dict(col) for col in sparse_columns(phi)]
-    bad = multiplicativity_failure(f, product.pair_index(), images, row_product(H.algebra, images))
+    bad = multiplicativity_failure(f, product, images, row_product(H.algebra, images))
     rep.add("pairing map is multiplicative for the braided product", bad is None,
             None if bad is None else {"pair": bad})
 

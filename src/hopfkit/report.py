@@ -82,14 +82,27 @@ def tensor3_to_json(T: SparseTensor3):
 def tensor3_from_json(field: Field, dim: int, triples) -> SparseTensor3:
     if not isinstance(triples, list):
         raise UsageError(f"structure constants {triples!r} must be a list of [i, j, k, scalar]")
-    out = SparseTensor3(field, (dim, dim, dim))
+    """The tensor of a JSON list of [i, j, k, scalar], repeated indices
+    summed.  The entries are summed into one dict and the tensor is built
+    from it once; an index that is a plain int skips parse_int, and each
+    diagnostic is formed only when its entry fails, in document order."""
+    dims = (dim, dim, dim)
+    add = field.add
+    acc = {}
     for item in triples:
         if not isinstance(item, (list, tuple)) or len(item) != 4:
             raise UsageError(f"structure constant entry {item!r} must be [i, j, k, scalar]")
-        entry = f"index of structure constant entry {item!r}"
-        i, j, k = (parse_int(x, entry) for x in item[:3])
-        out.add_to(i, j, k, parse_scalar(field, item[3], item))
-    return out
+        i, j, k, c = item
+        if not (type(i) is int and type(j) is int and type(k) is int):
+            entry = f"index of structure constant entry {item!r}"
+            i, j, k = parse_int(i, entry), parse_int(j, entry), parse_int(k, entry)
+        v = parse_scalar(field, c, item)
+        if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
+            raise UsageError(f"tensor index {(i, j, k)} out of bounds {dims}")
+        key = (i, j, k)
+        cur = acc.get(key)
+        acc[key] = v if cur is None else add(cur, v)
+    return SparseTensor3(field, dims, acc)
 
 
 def vector_to_json(field: Field, v):

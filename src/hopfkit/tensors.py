@@ -5,6 +5,13 @@ lexicographic iteration order.  Multiplication tensors are read through
 the (i, j) -> [(k, c)] index and its right-neighbour lists
 i -> [(j, [(k, c)])], comultiplication tensors through the
 i -> [(j, k, c)] index.
+
+``facts`` is the record of what a verifier proved about the tensor (the
+unit law for a given unit, associativity, generation by a given set,
+multiplicativity of a coproduct over a given product).  ``set`` drops it
+with the index caches, so a changed tensor never reuses a fact, and a
+record that refers to another tensor holds that tensor's facts dict,
+which is replaced, not cleared, when that tensor changes.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from .errors import UsageError
 
 class SparseTensor3:
     __slots__ = ("field", "dims", "entries", "_pair_index", "_right_index", "_first_index",
-                 "_third_index")
+                 "_third_index", "_facts")
 
     def __init__(self, field, dims, entries=None):
         self.field = field
@@ -24,13 +31,14 @@ class SparseTensor3:
         self.entries = {}
         if entries:
             for (i, j, k), v in entries.items() if isinstance(entries, dict) else entries:
-                self.set(i, j, k, v)
+                self._store(i, j, k, v)
         self._pair_index = None
         self._right_index = None
         self._first_index = None
         self._third_index = None
+        self._facts = None
 
-    def set(self, i, j, k, v):
+    def _store(self, i, j, k, v):
         d = self.dims
         if not (0 <= i < d[0] and 0 <= j < d[1] and 0 <= k < d[2]):
             raise UsageError(f"tensor index {(i, j, k)} out of bounds {d}")
@@ -38,14 +46,24 @@ class SparseTensor3:
             self.entries.pop((i, j, k), None)
         else:
             self.entries[(i, j, k)] = v
+
+    def set(self, i, j, k, v):
+        self._store(i, j, k, v)
         self._pair_index = None
         self._right_index = None
         self._first_index = None
         self._third_index = None
+        self._facts = None
 
     def add_to(self, i, j, k, v):
         cur = self.entries.get((i, j, k), self.field.zero)
         self.set(i, j, k, self.field.add(cur, v))
+
+    def facts(self) -> dict:
+        """The record of proved facts, a new dict after every change."""
+        if self._facts is None:
+            self._facts = {}
+        return self._facts
 
     def get(self, i, j, k):
         return self.entries.get((i, j, k), self.field.zero)
