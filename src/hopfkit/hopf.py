@@ -5,6 +5,9 @@ Conventions, fixed once for the whole package:
 * ``mul[i,j,k]``:   e_i e_j = sum_k mul[i,j,k] e_k,
 * ``comul[i,j,k]``: Delta(e_i) = sum_{j,k} comul[i,j,k] e_j (x) e_k,
 * ``antipode``:     matrix columns are images, S(e_j) = sum_i S[i][j] e_i,
+  held as a linalg.SparseMatrix like every structure map (a Hopf
+  morphism, a quotient section); a dense Matrix given to a constructor
+  is read into one,
 * elements of H (x) H are sparse dicts (i, j) -> scalar on the flat basis
   e_i (x) e_j, and similarly for triple tensors.
 
@@ -62,6 +65,7 @@ from .algebra import (
     basis_names,
     characters,
     center,
+    combine,
     dense_vector,
     left_ideal,
     multiplicativity_failure,
@@ -80,7 +84,7 @@ from .algebra import (
 )
 from .checks import Report
 from .errors import StructureError, UsageError
-from .linalg import Matrix, Subspace, nullspace_rows, solve_rows, sparse_rows, unit_vector
+from .linalg import Matrix, SparseMatrix, Subspace, nullspace_rows, solve_rows, sparse_rows, unit_vector
 from .tensors import SparseTensor3
 
 # ----------------------------------------------------------------------
@@ -159,28 +163,16 @@ def tt_flip(A: dict) -> dict:
 
 
 def tt_apply(field, A: dict, M1, M2) -> dict:
-    """Apply linear maps legwise; None means identity on that leg, and a
-    list is the map's sparse columns (sparse_columns).  Each sparse column
-    of a Matrix is read on first use and kept for the call, shared by both
-    legs when M2 is M1."""
+    """Apply linear maps, SparseMatrix values, legwise; None means the
+    identity on that leg."""
 
     def columns(M):
         if M is None:
             return lambda i: [(i, field.one)]
-        if isinstance(M, list):
-            return M.__getitem__
-        cache = {}
-
-        def column(i):
-            col = cache.get(i)
-            if col is None:
-                col = cache[i] = nonzero_terms(field, M.column(i))
-            return col
-
-        return column
+        return M.columns.__getitem__
 
     column1 = columns(M1)
-    column2 = column1 if M2 is M1 else columns(M2)
+    column2 = columns(M2)
     out = {}
     for (i, j), v in A.items():
         for r1, a in column1(i):
@@ -358,7 +350,7 @@ class HopfAlgebra:
             )
         self.comul = comul
         self.counit = list(counit)
-        self._antipode = antipode
+        self._antipode = None if antipode is None else SparseMatrix.of(antipode)
         self.antipode_source = "given" if antipode is not None else None
         if names:
             self.algebra.names = basis_names(names, self.dim)
@@ -452,10 +444,11 @@ def solve_antipode(H: HopfAlgebra):
     sol = solve_rows(f, rows, n)
     if sol is None:
         return None
-    S = Matrix.zeros(f, d, d)
-    for col, a in sol.items():
+    columns = [[] for _ in range(d)]
+    for col, a in sorted(sol.items()):
         s, j = divmod(col, d)
-        S.rows[s][j] = a
+        columns[j].append((s, a))
+    S = SparseMatrix(f, d, columns)
     # the solve produces a left convolution inverse; confirm the right law
     if not _antipode_ok(H, S):
         return None
@@ -463,16 +456,15 @@ def solve_antipode(H: HopfAlgebra):
 
 
 def _antipode_ok(H, S):
-    return antipode_failure(H.algebra, H.basis_comul, H.counit, S) is None
+    return antipode_failure(H.algebra, H.basis_comul, H.counit, S.columns) is None
 
 
-def antipode_failure(algebra, basis_comul, counit, S):
+def antipode_failure(algebra, basis_comul, counit, columns):
     """First basis index i with S(x_(1)) x_(2) or x_(1) S(x_(2)) unequal
-    to eps(x) 1 at x = e_i, or None; basis_comul(i) lists the (j, k, c)
-    of Delta(e_i)."""
+    to eps(x) 1 at x = e_i, or None; columns are the sparse columns of S
+    and basis_comul(i) lists the (j, k, c) of Delta(e_i)."""
     f = algebra.field
     product_terms = algebra.product_terms
-    columns = sparse_columns(S)
     for i in range(algebra.dim):
         left = {}
         right = {}
@@ -501,14 +493,19 @@ def coassociativity_failure(field, dim, basis_comul):
     return None
 
 
-def comultiplicativity_failure(field, basis_comul, M, comul_of):
+def comultiplicativity_failure(field, basis_comul, M, target_comul):
     """First basis index i with (M x M) Delta(e_i) unequal to
-    comul_of(M e_i), or None; basis_comul lists the source coproduct as in
-    antipode_failure and comul_of is the target coproduct of a dense vector."""
-    columns = sparse_columns(M)
-    for i in range(M.ncols):
-        lhs = tt_apply(field, comul_dict(basis_comul, i), columns, columns)
-        if not same_vector(field, lhs, comul_of(M.column(i))):
+    Delta'(M e_i), or None, for a SparseMatrix M; basis_comul and
+    target_comul list the source and target coproducts Delta and Delta'
+    as in antipode_failure."""
+    mul = field.mul
+    for i, col in enumerate(M.columns):
+        lhs = tt_apply(field, comul_dict(basis_comul, i), M, M)
+        rhs = {}
+        for r, a in col:
+            for (j, k, c) in target_comul(r):
+                _put(field, rhs, (j, k), mul(a, c))
+        if not same_vector(field, lhs, rhs):
             return i
     return None
 
@@ -527,12 +524,6 @@ def counit_failure(field, basis_comul, counit):
         if left != e_i or right != e_i:
             return i
     return None
-
-
-def sparse_columns(M: Matrix):
-    """The columns of M as sparse operands [(row, value)]."""
-    f = M.field
-    return [nonzero_terms(f, M.column(j)) for j in range(M.ncols)]
 
 
 def verify_hopf(H: HopfAlgebra) -> Report:
@@ -603,7 +594,10 @@ def _pair_witness(H, bad):
 
 
 class HopfMorphism:
-    def __init__(self, source: HopfAlgebra, target: HopfAlgebra, matrix: Matrix):
+    """A linear map source -> target; ``matrix`` holds it as a SparseMatrix
+    (a dense Matrix given here is read into one)."""
+
+    def __init__(self, source: HopfAlgebra, target: HopfAlgebra, matrix):
         if matrix.shape != (target.dim, source.dim):
             raise UsageError(
                 f"morphism matrix must be {target.dim}x{source.dim}, got {matrix.shape}"
@@ -612,7 +606,7 @@ class HopfMorphism:
             raise UsageError("morphism endpoints live over different fields")
         self.source = source
         self.target = target
-        self.matrix = matrix
+        self.matrix = SparseMatrix.of(matrix)
         self._report = None
 
     def __call__(self, vec):
@@ -638,7 +632,7 @@ class HopfMorphism:
 
 
 def identity_morphism(H: HopfAlgebra) -> HopfMorphism:
-    return HopfMorphism(H, H, Matrix.identity(H.field, H.dim))
+    return HopfMorphism(H, H, SparseMatrix.identity(H.field, H.dim))
 
 
 def verify_morphism(fmor: HopfMorphism) -> Report:
@@ -646,27 +640,28 @@ def verify_morphism(fmor: HopfMorphism) -> Report:
     on all basis pairs (a bijective such map then preserves S as well).
     Multiplicativity is checked on generator rows where the record
     allows it (both algebras on record, the source's generators proved,
-    the map unital), and on every pair otherwise."""
+    the map unital), and on every pair otherwise.  Every law reads the
+    map's sparse columns."""
     rep = Report()
     A, B, M = fmor.source, fmor.target, fmor.matrix
     f = A.field
-    unital = M.apply(A.unit) == B.unit
+    columns = M.columns
+    images = [dict(col) for col in columns]
+    unital = same_vector(f, combine(f, images, nonzero_terms(f, A.unit)),
+                         dict(nonzero_terms(f, B.unit)))
     rep.add("sends unit to unit", unital)
 
-    images = [dict(col) for col in sparse_columns(M)]
     gens = recorded_generators(A.algebra) if unital and on_record(B.algebra) else None
     bad = multiplicativity_failure(f, A.mul, images, row_product(B.algebra, images), gens)
     rep.add("multiplicative", bad is None, _pair_witness(A, bad))
 
-    bad = comultiplicativity_failure(f, A.basis_comul, M, B.comul_of)
+    bad = comultiplicativity_failure(f, A.basis_comul, M, B.basis_comul)
     rep.add("comultiplicative", bad is None, _basis_witness(A, bad))
 
-    ok, wit = True, None
-    for i in range(A.dim):
-        if B.counit_of(M.column(i)) != A.counit[i]:
-            ok, wit = False, {"basis": A.names[i]}
-            break
-    rep.add("preserves counit", ok, wit)
+    counit = B.counit
+    bad = next((i for i, col in enumerate(columns)
+                if f.sum(f.mul(a, counit[r]) for r, a in col) != A.counit[i]), None)
+    rep.add("preserves counit", bad is None, _basis_witness(A, bad))
     return rep
 
 
@@ -848,10 +843,9 @@ def coinvariant_space(field, dim, basis_comul, pi: HopfMorphism, side: str) -> S
     if side not in ("right", "left"):
         raise UsageError("side must be 'right' or 'left'")
     f = field
-    P = pi.matrix
     unit_K = pi.target.unit
     kd = len(unit_K)
-    pushed_column = [nonzero_terms(f, P.column(k)) for k in range(dim)]
+    pushed_column = pi.matrix.columns
     rows = {}
     for i in range(dim):
         for (j, k, c) in basis_comul(i):
@@ -902,7 +896,7 @@ def is_normal_left_coideal_subalgebra(H: HopfAlgebra, L: Subspace) -> Report:
         # e_p (v S(e_q)) summed over Delta(e_i); v S(e_q) is formed once
         # per (v, q) and reused for every e_i
         product_terms = H.algebra.product_terms
-        antipode = sparse_columns(H.antipode)
+        antipode = H.antipode.columns
         operands = [nonzero_terms(f, v) for v in vecs]
         mids = {}
         for i in range(H.dim):
@@ -925,7 +919,8 @@ def is_normal_left_coideal_subalgebra(H: HopfAlgebra, L: Subspace) -> Report:
 
 
 class QuotientData:
-    def __init__(self, projection: HopfMorphism, section: Matrix, ideal: Subspace, quotient: HopfAlgebra):
+    def __init__(self, projection: HopfMorphism, section: SparseMatrix, ideal: Subspace,
+                 quotient: HopfAlgebra):
         self.projection = projection
         self.section = section
         self.ideal = ideal
@@ -982,7 +977,7 @@ def quotient_by_coideal(H: HopfAlgebra, L: Subspace) -> QuotientData:
     if not projection.verified:
         raise StructureError("quotient projection failed to be a Hopf map",
                              witness=projection.verify().first_failure().name)
-    if (proj @ section) != Matrix.identity(f, qd):
+    if (proj @ section) != SparseMatrix.identity(f, qd):
         raise AssertionError("projection composed with section is not the identity")
     return QuotientData(projection, section, ideal, K)
 

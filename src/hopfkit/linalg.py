@@ -15,6 +15,12 @@ and subspace normal forms read off it are deterministic and
 reproducible.  ``Matrix.rref``, ``solve``, ``solve_matrix`` and
 ``nullspace`` are thin dense wrappers of the three; ``inverse`` reads
 ``solve_matrix``.
+
+The structure maps (Hopf morphisms, antipodes, quotient sections, the
+comparison map F) are ``SparseMatrix`` values, held as their sparse
+columns [(row, value)] and nothing else; their rank, nullspace, solve
+and inverse hand the rows straight to the same elimination, so no dense
+grid of such a map is built.
 """
 
 from __future__ import annotations
@@ -305,6 +311,167 @@ class Matrix:
         if self.nrows != self.ncols:
             raise UsageError("inverse of a non-square matrix")
         return self.solve_matrix(Matrix.identity(self.field, self.nrows))
+
+
+class SparseMatrix:
+    """An nrows x ncols matrix held as its sparse columns: columns[j] lists
+    the (row, value) of the nonzero entries of column j by increasing row.
+
+    It reads like a Matrix (shape, column, rows, apply, ==, @, transpose,
+    kron, rank, nullspace, solve_matrix, inverse); a Matrix compares equal
+    to it by its entries.  The eliminations take its rows as
+    {column: value} dicts, so no dense grid is formed."""
+
+    __slots__ = ("field", "nrows", "ncols", "columns")
+
+    def __init__(self, field: Field, nrows, columns):
+        self.field = field
+        self.nrows = nrows
+        self.columns = columns
+        self.ncols = len(columns)
+
+    # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def of(cls, M):
+        """M itself if it is a SparseMatrix, else the columns of the Matrix M."""
+        if isinstance(M, SparseMatrix):
+            return M
+        is_zero = M.field.is_zero
+        columns = [[] for _ in range(M.ncols)]
+        for i, row in enumerate(M.rows):
+            for j, a in enumerate(row):
+                if not is_zero(a):
+                    columns[j].append((i, a))
+        return cls(M.field, M.nrows, columns)
+
+    @classmethod
+    def from_columns(cls, field, nrows, cols):
+        """The matrix whose column j is cols[j], a dict row -> value."""
+        is_zero = field.is_zero
+        return cls(field, nrows, [sorted((i, a) for i, a in col.items() if not is_zero(a))
+                                  for col in cols])
+
+    @classmethod
+    def identity(cls, field, n):
+        return cls(field, n, [[(i, field.one)] for i in range(n)])
+
+    # -- reading -----------------------------------------------------------
+
+    @property
+    def shape(self):
+        return (self.nrows, self.ncols)
+
+    def column(self, j):
+        out = [self.field.zero] * self.nrows
+        for i, a in self.columns[j]:
+            out[i] = a
+        return out
+
+    @property
+    def rows(self):
+        """The dense rows, formed on each read."""
+        out = [[self.field.zero] * self.ncols for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, a in col:
+                out[i][j] = a
+        return out
+
+    def row_dicts(self):
+        """The rows as {column: nonzero value} dicts, the eliminations' input."""
+        rows = [{} for _ in range(self.nrows)]
+        for j, col in enumerate(self.columns):
+            for i, a in col:
+                rows[i][j] = a
+        return rows
+
+    def apply(self, vec):
+        """Matrix times column vector, dense in and out."""
+        if len(vec) != self.ncols:
+            raise UsageError("vector length mismatch")
+        f = self.field
+        out = [f.zero] * self.nrows
+        for x, col in zip(vec, self.columns):
+            if not f.is_zero(x):
+                for i, a in col:
+                    out[i] = f.add(out[i], f.mul(a, x))
+        return out
+
+    def __eq__(self, other):
+        if isinstance(other, Matrix):
+            other = SparseMatrix.of(other)
+        return (isinstance(other, SparseMatrix) and self.shape == other.shape
+                and self.columns == other.columns)
+
+    def __repr__(self):
+        return f"SparseMatrix({self.nrows}x{self.ncols} over {self.field!r})"
+
+    # -- arithmetic -------------------------------------------------------
+
+    def __matmul__(self, other):
+        if self.ncols != other.nrows:
+            raise UsageError(f"cannot multiply {self.shape} by {other.shape}")
+        f = self.field
+        mul, add = f.mul, f.add
+        left = self.columns
+        cols = []
+        for terms in other.columns:
+            acc = {}
+            for k, b in terms:
+                for i, a in left[k]:
+                    cur = acc.get(i)
+                    x = mul(a, b)
+                    acc[i] = x if cur is None else add(cur, x)
+            cols.append(acc)
+        return SparseMatrix.from_columns(f, self.nrows, cols)
+
+    def transpose(self):
+        return SparseMatrix(self.field, self.ncols,
+                            [sorted(row.items()) for row in self.row_dicts()])
+
+    def kron(self, other):
+        """Kronecker product under the flat-index convention
+        (i, j) -> i * other.dim + j on both rows and columns."""
+        mul = self.field.mul
+        n = other.nrows
+        return SparseMatrix(self.field, self.nrows * n, [
+            [(i * n + j, mul(a, b)) for i, a in col for j, b in ocol]
+            for col in self.columns for ocol in other.columns])
+
+    # -- elimination -------------------------------------------------------
+
+    def rank(self):
+        return len(eliminate(self.field, self.row_dicts())[1])
+
+    def nullspace(self):
+        """Canonical nullspace basis, as Matrix.nullspace gives it."""
+        return nullspace_rows(self.field, self.row_dicts(), self.ncols)
+
+    def solve_matrix(self, rhs: "SparseMatrix"):
+        """One exact solution X of ``self @ X = rhs`` (free variables 0),
+        read off one elimination of [self | rhs]; None if some column is
+        inconsistent."""
+        if rhs.nrows != self.nrows:
+            raise UsageError(f"right-hand side has {rhs.nrows} rows, the matrix {self.nrows}")
+        n = self.ncols
+        rows = self.row_dicts()
+        for j, col in enumerate(rhs.columns):
+            for i, a in col:
+                rows[i][n + j] = a
+        prows, pivots = eliminate(self.field, rows)
+        if pivots and pivots[-1] >= n:
+            return None
+        cols = [[] for _ in range(rhs.ncols)]
+        for row, pc in zip(prows, pivots):  # pivot columns increase
+            for j, a in row.items():
+                if j >= n:
+                    cols[j - n].append((pc, a))
+        return SparseMatrix(self.field, n, cols)
+
+    def inverse(self):
+        if self.nrows != self.ncols:
+            raise UsageError("inverse of a non-square matrix")
+        return self.solve_matrix(SparseMatrix.identity(self.field, self.nrows))
 
 
 class Subspace:

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import (
     AlgebraPresentation,
     combine,
-    dense_vector,
     fewer_terms,
     multiplicativity_failure,
     nonzero_terms,
@@ -69,7 +68,6 @@ from .hopf import (
     is_normal_left_coideal_subalgebra,
     r_leg_products,
     solve_antipode,
-    sparse_columns,
     tt_apply,
     tt_flip,
     tt_mul,
@@ -80,7 +78,7 @@ from .hopf import (
     tensor_hopf,
     _antipode_ok,
 )
-from .linalg import Matrix, Subspace, solve_rows
+from .linalg import SparseMatrix, Subspace, solve_rows
 from .tensors import SparseTensor3
 
 
@@ -158,12 +156,12 @@ class TensorSquareElement:
         host = new_host if new_host is not None else self.host
         return TensorSquareElement(host, tt_apply(self.host.field, self.coeffs, M1, M2))
 
-    def to_matrix(self) -> Matrix:
-        f = self.host.field
-        M = Matrix.zeros(f, self.host.dim, self.host.dim)
-        for (i, j), v in self.coeffs.items():
-            M.rows[i][j] = v
-        return M
+    def to_matrix(self) -> SparseMatrix:
+        """The d x d matrix whose (i, j) entry is the coefficient of e_i (x) e_j."""
+        columns = [[] for _ in range(self.host.dim)]
+        for (i, j), v in sorted(self.coeffs.items()):
+            columns[j].append((i, v))
+        return SparseMatrix(self.host.field, self.host.dim, columns)
 
     def to_triples(self):
         f = self.host.field
@@ -318,8 +316,8 @@ def monodromy(Q: QTStructure) -> TensorSquareElement:
 
 @dataclass
 class PhiMaps:
-    phi: Matrix
-    phi_flip: Matrix
+    phi: SparseMatrix
+    phi_flip: SparseMatrix
     image: Subspace
     image_flip: Subspace
     normal: Report
@@ -353,8 +351,8 @@ def is_factorizable(Q: QTStructure) -> bool:
 
 @dataclass
 class LRMaps:
-    l: Matrix
-    r: Matrix
+    l: SparseMatrix
+    r: SparseMatrix
     full_rank: bool
     image_l: Subspace
     image_r: Subspace
@@ -386,7 +384,7 @@ def lr_maps(Q: QTStructure, pi: HopfMorphism = None) -> LRMaps:
         d = H.dim
         mul_out = H.mul.third_index()
         product_terms = H.algebra.product_terms
-        columns = sparse_columns(l)
+        columns = l.columns
         for a in range(d):
             dual_comul = mul_out.get(a, [])  # (p, q, c): Delta*(e^a) = sum c e^p (x) e^q
             for i in range(d):
@@ -456,8 +454,11 @@ def verify_twist(H: HopfAlgebra, J: TensorSquareElement, inverse_candidates=()) 
 def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
     """Conjugate the comultiplication by J (and carry R to J21 R J^-1).
 
-    The twisted antipode is u S(.) u^-1 for u = m (id x S)(J), verified
-    and falling back to convolution inversion if the candidate fails.
+    The twisted antipode is u S(.) u^-1 for u = m (id x S)(J) (Majid,
+    Foundations of Quantum Group Theory, 2.3), verified and falling back
+    to convolution inversion if the candidate fails.  Its column j is
+    u (S(e_j) u^-1), formed by product_terms; u^-1 solves u x = 1 over
+    the sparse rows of left multiplication by u.
     """
     if not twist.verified:
         raise PreconditionError("apply_twist needs a verified twist")
@@ -476,16 +477,26 @@ def apply_twist(H: HopfAlgebra, twist: Twist, R: TensorSquareElement = None):
     bialgebra = HopfAlgebra(H.algebra, comul, list(H.counit), None, list(H.names))
     antipode = None
     if H.antipode is not None:
-        s_columns = sparse_columns(H.antipode)
+        product_terms = H.algebra.product_terms
+        s_columns = H.antipode.columns
         u = {}
         for (i, j), v in J.coeffs.items():
-            H.algebra.product_terms([(i, v)], s_columns[j], u)
-        u = dense_vector(f, d, u)
-        Lu = H.algebra.left_mult_matrix(u)
-        uinv = Lu.solve(H.unit)
+            product_terms([(i, v)], s_columns[j], u)
+        u = nonzero_terms(f, u)
+        # row t of the system u x = 1 holds the e_t coordinates of the products u e_k
+        rows = [{} for _ in range(d)]
+        for k in range(d):
+            for t, v in product_terms(u, [(k, f.one)]).items():
+                if not f.is_zero(v):
+                    rows[t][k] = v
+        for t, v in nonzero_terms(f, H.unit):
+            rows[t][d] = v
+        uinv = solve_rows(f, rows, d)
         if uinv is not None:
-            Ru_inv = H.algebra.right_mult_matrix(uinv)
-            cand = Lu @ Ru_inv @ H.antipode
+            uinv = sorted(uinv.items())
+            cand = SparseMatrix.from_columns(f, d, [
+                product_terms(u, nonzero_terms(f, product_terms(column, uinv)))
+                for column in s_columns])
             if _antipode_ok(bialgebra, cand):
                 antipode = cand
     if antipode is None:
@@ -519,7 +530,7 @@ def double_hopf(K: HopfAlgebra) -> HopfAlgebra:
     product_terms = K.algebra.product_terms
     dual_terms = Kd.algebra.product_terms
     mul_pairs = K.mul.pair_index()
-    sinv_columns = sparse_columns(Sinv)
+    sinv_columns = Sinv.columns
 
     # psi[(p, r)][b] is the functional c -> e^b(S^-1(e_r) e_c e_p), sparse
     psi = {}
@@ -569,13 +580,13 @@ def double_hopf(K: HopfAlgebra) -> HopfAlgebra:
 
     # antipode: S(f (x) h) = (eps (x) S(h)) * (f o S^-1 (x) 1)
     columns = []
-    for a in range(n):
-        second = [(c * n + w, v) for (c, w), v in tt_outer(K, Sinv.rows[a], K.unit).items()]
-        for h in range(n):
-            first = tt_outer(K, Kd.unit, K.antipode.column(h))
+    for sinv_row in Sinv.transpose().columns:
+        second = [(c * n + w, v) for (c, w), v in tt_outer(K, dict(sinv_row), K.unit).items()]
+        for s_column in K.antipode.columns:
+            first = tt_outer(K, Kd.unit, dict(s_column))
             first = [(c * n + w, v) for (c, w), v in first.items()]
-            columns.append(dense_vector(f, d, alg.product_terms(first, second)))
-    return HopfAlgebra(alg, comul, counit, Matrix.from_columns(f, columns), names)
+            columns.append(alg.product_terms(first, second))
+    return HopfAlgebra(alg, comul, counit, SparseMatrix.from_columns(f, d, columns), names)
 
 
 def canonical_double_r(D: HopfAlgebra, n: int, counit, unit) -> TensorSquareElement:
@@ -611,18 +622,18 @@ def double_base_projection(DQ: QTStructure, KQ: QTStructure) -> HopfMorphism:
     pairs the dual leg against the chosen R-matrix on K."""
     K = KQ.hopf
     r_images = K.antipode @ KQ.R.to_matrix()  # column a is S(r_R(e^a))
-    pi = double_projection(DQ.hopf, K, [r_images.column(a) for a in range(K.dim)])
+    pi = double_projection(DQ.hopf, K, [dict(column) for column in r_images.columns])
     pi.verify()
     return pi
 
 
 def double_projection(D: HopfAlgebra, K: HopfAlgebra, images) -> HopfMorphism:
-    """The linear map D(K) -> K sending e^a (x) e_h to images[a] e_h."""
+    """The linear map D(K) -> K sending e^a (x) e_h to images[a] e_h, each
+    images[a] a vector, dense or a dict."""
     f = K.field
     product_terms = K.algebra.product_terms
-    columns = [dense_vector(f, K.dim, product_terms(nonzero_terms(f, x), [(h, f.one)]))
-               for x in images for h in range(K.dim)]
-    return HopfMorphism(D, K, Matrix.from_columns(f, columns))
+    columns = [product_terms(nonzero_terms(f, x), [(h, f.one)]) for x in images for h in range(K.dim)]
+    return HopfMorphism(D, K, SparseMatrix.from_columns(f, K.dim, columns))
 
 
 def componentwise_r(T: HopfAlgebra, r1: TensorSquareElement, r2: TensorSquareElement):
@@ -688,7 +699,7 @@ class BraidedHopfData:
     hopf: HopfAlgebra
     R: TensorSquareElement
     braided_comul: SparseTensor3
-    braided_antipode: Matrix
+    braided_antipode: SparseMatrix
     action: list  # action[i][t] is ad_{e_i}(e_t) as a sparse operand
     report: Report = dc_field(default=None)
 
@@ -704,7 +715,7 @@ def adjoint_action_matrices(H: HopfAlgebra):
     of columns t per basis index i."""
     f = H.field
     product_terms = H.algebra.product_terms
-    antipode = sparse_columns(H.antipode)
+    antipode = H.antipode.columns
 
     def ad(i, t):
         col = {}
@@ -775,7 +786,7 @@ def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
     f = H.field
     d = H.dim
     product_terms = H.algebra.product_terms
-    antipode = sparse_columns(H.antipode)
+    antipode = H.antipode.columns
     ad = adjoint_action_matrices(H)
     bc = SparseTensor3(f, (d, d, d))
     for t in range(d):
@@ -790,8 +801,8 @@ def transmute(Q: QTStructure, pi: HopfMorphism = None) -> BraidedHopfData:
         for (i, j), rv in Q.R.coeffs.items():
             for u, x in ad[i][t]:
                 product_terms([(j, f.mul(rv, x))], antipode[u], col)
-        columns.append(dense_vector(f, d, col))
-    data = BraidedHopfData(H, Q.R, bc, Matrix.from_columns(f, columns), ad)
+        columns.append(col)
+    data = BraidedHopfData(H, Q.R, bc, SparseMatrix.from_columns(f, d, columns), ad)
     data.report = _verify_braided(data)
     return data
 
@@ -816,7 +827,8 @@ def _verify_braided(data: BraidedHopfData) -> Report:
     rep.add("braided coproduct is multiplicative for the braiding", bad is None,
             _pair_witness(H, bad))
 
-    bad = antipode_failure(H.algebra, data.basis_braided_comul, H.counit, data.braided_antipode)
+    bad = antipode_failure(H.algebra, data.basis_braided_comul, H.counit,
+                           data.braided_antipode.columns)
     rep.add("braided antipode is the braided convolution inverse", bad is None,
             _basis_witness(H, bad))
     return rep
@@ -839,14 +851,14 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
     f = H.field
     d = H.dim
     P = pi.matrix
-    P_columns = sparse_columns(P)
+    P_columns = P.columns
     BH = transmute(Q)
     BK = transmute(Q, pi)
     # ad_K[i][t] is the action of e_i in H on e_t in K, through pi(e_i)
     ad_K = [[list(combine(f, column, P_columns[i]).items()) for column in zip(*BK.action)]
             for i in range(d)]
 
-    bad = comultiplicativity_failure(f, BH.basis_braided_comul, P, BK.braided_comul_of)
+    bad = comultiplicativity_failure(f, BH.basis_braided_comul, P, BK.basis_braided_comul)
     rep.add("projection intertwines the braided coproducts", bad is None, _basis_witness(H, bad))
 
     wit = next(({"pair": (H.names[i], H.names[t])} for i in range(d) for t in range(d)
@@ -870,7 +882,7 @@ def check_braided_projection(Q: QTStructure, pi: HopfMorphism) -> Report:
 @dataclass
 class BraidedDualData:
     product: SparseTensor3
-    antipode: Matrix
+    antipode: SparseMatrix
     report: Report
 
 
@@ -887,7 +899,7 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
     one = f.one
     Hd = dual_hopf(H)
     dual_terms = Hd.algebra.product_terms
-    dual_antipode = sparse_columns(Hd.antipode)
+    dual_antipode = Hd.antipode.columns
 
     def pair_r(x: dict, y: dict):
         """<x, y>_R = sum R_ij x_i y_j for dual vectors x and y."""
@@ -912,7 +924,7 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
             for c, v in acc.items():
                 product.set(a, b, c, v)
 
-    square = sparse_columns(Hd.antipode @ Hd.antipode)
+    square = (Hd.antipode @ Hd.antipode).columns
     columns = []
     for a in range(d):
         col = {}
@@ -922,26 +934,26 @@ def braided_dual(Q: QTStructure) -> BraidedDualData:
                 coef = f.mul(f.mul(c1, c2), pair_r(left, {m: one}))
                 for c, v in dual_antipode[y]:
                     _put(f, col, c, f.mul(coef, v))
-        columns.append(dense_vector(f, d, col))
-    antipode = Matrix.from_columns(f, columns)
+        columns.append(col)
+    antipode = SparseMatrix.from_columns(f, d, columns)
 
     rep = Report()
     dual_alg = AlgebraPresentation(f, d, product, list(H.counit))
     unit_law, associativity = verify_algebra(dual_alg).checks
     rep.add("braided dual product associative", associativity.ok, associativity.witness)
     rep.add("counit functional is the braided unit", unit_law.ok)
-    bad = antipode_failure(dual_alg, Hd.basis_comul, H.unit, antipode)
+    bad = antipode_failure(dual_alg, Hd.basis_comul, H.unit, antipode.columns)
     rep.add("braided dual antipode law", bad is None, None if bad is None else {"dual_basis": bad})
 
     # the monodromy pairing map intertwines the braided structures
     bh = transmute(Q)
     phi = monodromy(Q).to_matrix().transpose()
-    images = [dict(col) for col in sparse_columns(phi)]
+    images = [dict(col) for col in phi.columns]
     bad = multiplicativity_failure(f, product, images, row_product(H.algebra, images))
     rep.add("pairing map is multiplicative for the braided product", bad is None,
             None if bad is None else {"pair": bad})
 
-    bad = comultiplicativity_failure(f, Hd.basis_comul, phi, bh.braided_comul_of)
+    bad = comultiplicativity_failure(f, Hd.basis_comul, phi, bh.basis_braided_comul)
     rep.add("pairing map intertwines the coproducts", bad is None,
             None if bad is None else {"dual_basis": bad})
     return BraidedDualData(product, antipode, rep)

@@ -6,7 +6,8 @@ serialization is exact and byte-stable: identical inputs always produce
 identical documents.  Decoding reads matrices and vectors a row at a
 time through ``parse_scalars`` and every other scalar through
 ``parse_scalar``, so the field parses each distinct scalar string of a
-document once.
+document once.  A matrix is written and read as its dense rows, and a
+SparseMatrix goes straight to and from them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .checks import Report
 from .errors import UsageError
 from .fields import Field, field_from_json, parse_int, parse_scalar, parse_scalars
 from .hopf import HopfAlgebra, HopfMorphism, QuotientData, tensor_hopf
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, SparseMatrix, Subspace
 from .qt import QTStructure, TensorSquareElement, Twist
 from .splitting import SplitCertificate
 from .tensors import SparseTensor3
@@ -63,15 +64,32 @@ def dumps_indented(obj) -> str:
     return walk(obj, "\n")
 
 
-def matrix_to_json(M: Matrix):
+def matrix_to_json(M):
+    """The rows of a Matrix or a SparseMatrix, each scalar shown."""
     f = M.field
-    return [[f.show(v) for v in row] for row in M.rows]
+    if isinstance(M, Matrix):
+        return [[f.show(v) for v in row] for row in M.rows]
+    zero = f.show(f.zero)
+    out = [[zero] * M.ncols for _ in range(M.nrows)]
+    for j, col in enumerate(M.columns):
+        for i, v in col:
+            out[i][j] = f.show(v)
+    return out
 
 
-def matrix_from_json(field: Field, rows) -> Matrix:
+def matrix_from_json(field: Field, rows) -> SparseMatrix:
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise UsageError(f"matrix {rows!r} must be a list of rows")
-    return Matrix(field, [parse_scalars(field, row, row) for row in rows])
+    rows = [parse_scalars(field, row, row) for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise UsageError("ragged matrix rows")
+    zero = field.zero  # every zero of a field equals its zero
+    columns = [[] for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in [j for j, a in enumerate(row) if a != zero]:
+            columns[j].append((i, row[j]))
+    return SparseMatrix(field, len(rows), columns)
 
 
 def tensor3_to_json(T: SparseTensor3):
@@ -260,7 +278,7 @@ def _quotient_from_json(field: Field, H: HopfAlgebra, data: dict) -> QuotientDat
         raise UsageError(f"certificate section must be {H.dim}x{quotient.dim}, "
                          f"got {section.nrows}x{section.ncols}")
     ideal = matrix_from_json(field, data["ideal"])
-    if ideal.nrows != H.dim - quotient.dim or ideal.rows and ideal.ncols != H.dim:
+    if ideal.nrows != H.dim - quotient.dim or ideal.nrows and ideal.ncols != H.dim:
         raise UsageError(f"certificate ideal must be {H.dim - quotient.dim} rows of length "
                          f"{H.dim}, got {ideal.nrows} of length {ideal.ncols}")
     return QuotientData(projection, section, Subspace(field, H.dim, ideal.rows), quotient)

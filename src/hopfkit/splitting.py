@@ -35,7 +35,6 @@ from .hopf import (
     grouplikes,
     is_normal_left_coideal_subalgebra,
     quotient_by_coideal,
-    sparse_columns,
     tensor_hopf,
     tt_apply,
     tt_flip,
@@ -44,7 +43,7 @@ from .hopf import (
     verify_hopf,
     verify_morphism,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, SparseMatrix, Subspace
 from .qt import (
     QTStructure,
     TensorSquareElement,
@@ -116,7 +115,7 @@ class SplitCertificate:
     j: Twist
     r_tilde: TensorSquareElement
     r_target: TensorSquareElement  # J21 Rtilde J^-1; None when J is not a verified twist
-    f: Matrix  # the comparison map F; None when J is not a verified twist
+    f: SparseMatrix  # the comparison map F; None when J is not a verified twist
     checks: Report
     witness: FactorizationWitness = None
 
@@ -157,18 +156,17 @@ def theorem_twist(T: HopfAlgebra, Q: QTStructure, pi1: HopfMorphism, pi2: HopfMo
                         inverse_candidates=[TensorSquareElement(T, cand)])
 
 
-def comparison_map(H: HopfAlgebra, target: HopfAlgebra, pi1: HopfMorphism, pi2: HopfMorphism) -> Matrix:
-    """Matrix of (pi1 (x) pi2) o Delta into the flat tensor basis."""
+def comparison_map(H: HopfAlgebra, target: HopfAlgebra, pi1: HopfMorphism,
+                   pi2: HopfMorphism) -> SparseMatrix:
+    """The sparse columns of (pi1 (x) pi2) o Delta into the flat tensor basis."""
     f = H.field
     d2 = pi2.target.dim
     cols = []
     for t in range(H.dim):
-        col = [f.zero] * target.dim
         delta = comul_dict(H.basis_comul, t)
-        for (x, y), v in tt_apply(f, delta, pi1.matrix, pi2.matrix).items():
-            col[x * d2 + y] = v
-        cols.append(col)
-    return Matrix.from_columns(f, cols)
+        cols.append(sorted((x * d2 + y, v)
+                           for (x, y), v in tt_apply(f, delta, pi1.matrix, pi2.matrix).items()))
+    return SparseMatrix(f, target.dim, cols)
 
 
 def build_certificate(Q: QTStructure, L1: Subspace, L2: Subspace) -> SplitCertificate:
@@ -295,8 +293,8 @@ def split_via_fullrank(Q: QTStructure, pi: HopfMorphism) -> SplitCertificate:
     # coinvariants is trivial, a_(1) l(f) S(a_(2)) = eps(a) l(f)
     ok, wit = True, None
     product_terms = H.algebra.product_terms
-    antipode = sparse_columns(H.antipode)
-    images = sparse_columns(lmaps.l)
+    antipode = H.antipode.columns
+    images = lmaps.l.columns
     for a_vec in L1.vectors():
         delta_a = H.comul_of(a_vec)
         eps_a = H.counit_of(a_vec)
@@ -349,9 +347,10 @@ def double_splitting(KQ: QTStructure) -> SplitCertificate:
 
 def _quotient_data_from_projection(pi: HopfMorphism) -> QuotientData:
     """QuotientData for a surjection onto a concrete target: the section
-    is any exact right inverse, the ideal is the kernel."""
+    is any exact right inverse, the ideal is the kernel, both read off
+    eliminations of the projection's sparse rows."""
     f = pi.source.field
-    section = pi.matrix.solve_matrix(Matrix.identity(f, pi.target.dim))
+    section = pi.matrix.solve_matrix(SparseMatrix.identity(f, pi.target.dim))
     ideal = Subspace(f, pi.source.dim, pi.matrix.nullspace())
     return QuotientData(pi, section, ideal, pi.target)
 

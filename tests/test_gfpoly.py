@@ -94,3 +94,48 @@ def test_factor_primefield_poly_surface():
     gf7 = PrimeField(7)
     unit, factors = factor_primefield_poly(gf7, [6, 0, 0, 1])
     assert unit == 1 and len(factors) == 3
+
+
+try:
+    import sympy
+    from hypothesis import assume, given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the sympy comparison below is skipped
+    sympy = None
+
+
+def _sympy_factors(p, coeffs):
+    """(unit, sorted [(ascending monic coefficients, multiplicity)]) from
+    sympy's factor_list over GF(p)."""
+    x = sympy.Symbol("x")
+    expr = sum(c * x ** k for k, c in enumerate(coeffs))
+    unit, factors = sympy.factor_list(expr, x, modulus=p)
+    out = []
+    for g, m in factors:
+        asc = [int(c) % p for c in reversed(sympy.Poly(g, x, modulus=p).all_coeffs())]
+        lead = asc[-1]
+        if lead != 1:  # a factor sympy leaves non-monic moves its leading coefficient to the unit
+            inv = pow(lead, -1, p)
+            asc = [c * inv % p for c in asc]
+            unit = unit * pow(lead, m)
+        out.append((asc, m))
+    return int(unit) % p, sorted(out)
+
+
+@pytest.mark.skipif(sympy is None, reason="needs sympy and hypothesis")
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # raised inside sympy's factor_list
+def test_factorization_matches_sympy():
+    polys = st.sampled_from((2, 3, 5, 7, 11, 13)).flatmap(
+        lambda p: st.tuples(st.just(p), st.lists(st.integers(0, p - 1), min_size=2, max_size=9)))
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(polys)
+    def check(case):
+        p, coeffs = case
+        while coeffs and coeffs[-1] == 0:
+            coeffs = coeffs[:-1]
+        assume(len(coeffs) >= 2)
+        unit, factors = factor_primefield_poly(PrimeField(p), coeffs)
+        assert (unit, sorted(factors)) == _sympy_factors(p, coeffs), (p, coeffs)
+
+    check()

@@ -22,7 +22,7 @@ from hopfkit import (
 from hopfkit.errors import PreconditionError, UsageError
 from hopfkit.fields import PrimeField, Rationals
 from hopfkit.hopf import is_normal_left_coideal_subalgebra, tt_mul, tt_flip
-from hopfkit.linalg import Matrix
+from hopfkit.linalg import Matrix, SparseMatrix
 from hopfkit.qt import double_base_projection
 
 QQ = Rationals()
@@ -72,9 +72,9 @@ def test_sweedler_corrupted_r_fails(h4):
 def test_rmatrix_check_does_not_invert_the_antipode(double_kz3_gf7, monkeypatch):
     # (S x id)(R) is the inverse of every R-matrix, so S^-1 is never needed
     def no_inverse(self):
-        raise AssertionError("Matrix.inverse called")
+        raise AssertionError("SparseMatrix.inverse called")
 
-    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    monkeypatch.setattr(SparseMatrix, "inverse", no_inverse)
     assert verify_rmatrix(double_kz3_gf7.hopf, double_kz3_gf7.R).verified
 
 

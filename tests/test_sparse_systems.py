@@ -13,7 +13,7 @@ from hopfkit import HopfMorphism, TensorSquareElement, taft
 from hopfkit.algebra import center
 from hopfkit.fields import CyclotomicField, Rationals
 from hopfkit.hopf import coinvariant_space, skew_primitive_space, solve_antipode, tt_mul, tt_unit
-from hopfkit.linalg import Matrix
+from hopfkit.linalg import Matrix, SparseMatrix
 from hopfkit.qt import antipode_leg_candidates
 from hopfkit.report import hopf_from_json
 
@@ -22,15 +22,14 @@ DSWEEDLER_RAW = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "ds
 
 @pytest.fixture
 def matrix_shapes(monkeypatch):
-    """The shape of every Matrix made while the test runs."""
+    """The shape of every Matrix and SparseMatrix made while the test runs."""
     shapes = []
-    real = Matrix.__init__
+    for cls in (Matrix, SparseMatrix):
+        def recording(self, *args, real=cls.__init__):
+            real(self, *args)
+            shapes.append((self.nrows, self.ncols))
 
-    def recording(self, field, rows):
-        real(self, field, rows)
-        shapes.append((self.nrows, self.ncols))
-
-    monkeypatch.setattr(Matrix, "__init__", recording)
+        monkeypatch.setattr(cls, "__init__", recording)
     return shapes
 
 

@@ -690,3 +690,97 @@ if st is not None:
 else:
     def test_generator_verdicts_equal_full_scan_verdicts():
         pytest.skip("hypothesis is not installed")
+
+
+# ----------------------------------------------------------------------
+# structure maps held as sparse columns
+# ----------------------------------------------------------------------
+
+# (map, column) -> the checks of the map with entry (column mod rows,
+# column) raised by one, as the dense-matrix implementation reported them:
+# verify_morphism's four checks for pi1 and F of the D(D(kZ3))/GF(7)
+# certificate, and the antipode law with antipode_failure's first index
+# for the antipode of its source
+_G0, _G1, _G2 = "1*@1*@1*@1", "1*@1*@g*@1", "1*@1*@g^2*@1"
+WRONG_COLUMN_VERDICTS = {
+    ("pi1", 0): [False, {"pair": (_G0, _G0)}, {"basis": _G0}, {"basis": _G0}],
+    ("F", 0): [False, {"pair": (_G0, _G0)}, {"basis": _G0}, {"basis": _G0}],
+    ("pi1", 40): [True, {"pair": (_G1, "g*@g*@g*@g")}, {"basis": "g*@g*@1*@g"}, None],
+    ("F", 40): [True, {"pair": ("1*@g*@g*@1", "g*@g*@g*@g")}, {"basis": "g*@1*@1*@g"}, None],
+    ("pi1", 79): [True, {"pair": (_G2, "g^2*@g^2*@g^2*@g")}, {"basis": "g^2*@g*@g*@g"}, None],
+    ("F", 79): [True, {"pair": ("1*@g^2*@g*@1", "g^2*@g^2*@g^2*@g")}, {"basis": "g^2*@1*@1*@g"},
+                None],
+    ("S", 0): 0,
+    ("S", 40): 52,
+    ("S", 79): 67,
+}
+
+
+def _with_wrong_column(M, j):
+    rows = M.rows
+    i = j % len(rows)
+    rows[i][j] = GF7.add(rows[i][j], GF7.one)
+    return Matrix(GF7, rows)
+
+
+def test_one_wrong_column_gives_the_dense_verdict(double_kz3_gf7):
+    cert = double_splitting(double_kz3_gf7)
+    H = cert.source.hopf
+    for (name, j), expected in WRONG_COLUMN_VERDICTS.items():
+        if name == "S":
+            bad = HopfAlgebra(H.algebra, H.comul, list(H.counit),
+                              _with_wrong_column(H.antipode, j), list(H.names))
+            (law,) = [c for c in verify_hopf(bad).checks if c.name == "antipode law"]
+            assert not law.ok
+            assert hopf_module.antipode_failure(H.algebra, H.basis_comul, H.counit,
+                                                bad.antipode.columns) == expected
+            continue
+        target, M = (cert.k1.quotient, cert.k1.projection.matrix) if name == "pi1" \
+            else (cert.twisted, cert.f)
+        rep = HopfMorphism(H, target, _with_wrong_column(M, j)).verify()
+        unital, *witnesses = expected
+        assert [c.name for c in rep.checks] == ["sends unit to unit", "multiplicative",
+                                                 "comultiplicative", "preserves counit"]
+        assert rep.checks[0].ok is unital
+        assert [c.witness for c in rep.checks[1:]] == witnesses
+        assert [c.ok for c in rep.checks[1:]] == [w is None for w in witnesses]
+
+
+def test_a_failing_twisted_antipode_candidate_reaches_solve_antipode(double_kz3_gf7, monkeypatch):
+    # R is a twist of D(kZ3); given a wrong antipode, u S(.) u^-1 fails the
+    # antipode law and the twisted antipode is solved for
+    D, R = double_kz3_gf7.hopf, double_kz3_gf7.R
+    calls = []
+    real = qt_module.solve_antipode
+
+    def counting(H):
+        calls.append(H.dim)
+        return real(H)
+
+    monkeypatch.setattr(qt_module, "solve_antipode", counting)
+    twisted, _ = qt_module.apply_twist(D, verify_twist(D, R))
+    assert calls == []
+    wrong = HopfAlgebra(D.algebra, D.comul, list(D.counit), Matrix.identity(GF7, D.dim),
+                        list(D.names))
+    solved, _ = qt_module.apply_twist(wrong, verify_twist(wrong, R))
+    assert calls == [D.dim]
+    assert solved.antipode == twisted.antipode
+    assert verify_hopf(solved).ok
+
+
+def test_the_dim256_certificate_builds_no_dense_map(double_h4, monkeypatch):
+    # the 256-dim D(D(H4))/Q certificate test, run while every Matrix of
+    # 256^2 cells or more is recorded: no structure map is held dense
+    import test_splitting
+
+    big = []
+    real = Matrix.__init__
+
+    def recording(self, field, rows):
+        real(self, field, rows)
+        if self.nrows * self.ncols >= 256 * 256:
+            big.append(self.shape)
+
+    monkeypatch.setattr(Matrix, "__init__", recording)
+    test_splitting.test_double_splitting_dim256_and_check_cert(double_h4)
+    assert big == []
